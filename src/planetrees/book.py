@@ -4,6 +4,10 @@ In a book drawing all vertices sit on a line (the spine) and every
 edge runs entirely above or below it.  Two edges cross exactly when
 they are on the same page and their endpoints interleave along the
 spine, which makes the compiled crossing set purely combinatorial.
+Compilation walks 4-subsets of spine positions rather than edge
+pairs: for positions a<b<c<d only the pairing (a,c)x(b,d) interleaves,
+so each 4-subset contributes at most one crossing, kept when both
+edges share a page.  The annulus compiler reuses this for its chords.
 
 The solver peels off vertices that are incident to uncrossed edges of
 both colors, takes the (necessarily monochromatic) residual spine
@@ -14,7 +18,7 @@ same-colored uncrossed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     Drawing,
@@ -24,8 +28,8 @@ from .core import (
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
     all_edges,
-    crossing_pair,
     edge,
+    edge_index,
     is_plane,
     is_spanning_tree,
     tree_colors,
@@ -71,16 +75,31 @@ class BookLayout:
         return cls(spine, tuple(pages), color)
 
     def page_of(self, e: Edge) -> str:
-        from .core import edge_index
-
         return self.pages[edge_index(self.n, edge(*e))]
 
 
-def _interleave(pos: dict[int, int], e: Edge, f: Edge) -> bool:
-    """Endpoints alternate along the spine (independent edges only)."""
-    a, b = sorted((pos[e[0]], pos[e[1]]))
-    c, d = sorted((pos[f[0]], pos[f[1]]))
-    return a < c < b < d or c < a < d < b
+def interleaving_crossings(order: Sequence[int], pages: Optional[list[list]] = None) -> list:
+    """Crossing pairs of edges drawn on one side of a line through ``order``.
+
+    Endpoints at positions a<b<c<d alternate only as (a,c)x(b,d), so
+    each 4-subset of positions yields at most that pair; it is kept when
+    ``pages[a][c] == pages[b][d]`` (a position-indexed matrix; None puts
+    every edge on one page, as for chords of a circle cut open).
+    """
+    k = len(order)
+    pages = pages or [[None] * k] * k
+    edges = [[(x, y) if x < y else (y, x) for y in order] for x in order]  # by position
+    out = []
+    for a in range(k - 3):
+        for c in range(a + 2, k - 1):
+            e, page = edges[a][c], pages[a][c]
+            for b in range(a + 1, c):
+                row_b, edges_b = pages[b], edges[b]
+                for d in range(c + 1, k):
+                    if row_b[d] == page:
+                        f = edges_b[d]
+                        out.append((e, f) if e < f else (f, e))
+    return out
 
 
 def compile_book(layout: BookLayout) -> Drawing:
@@ -92,27 +111,23 @@ def compile_book(layout: BookLayout) -> Drawing:
     edges to the left by increasing position, then the mirrored bottom
     blocks.
     """
-    n = layout.n
-    pos = {v: i for i, v in enumerate(layout.spine)}
-    edges = all_edges(n)
-    crossings = set()
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if set(e) & set(f):
-                continue
-            if layout.page_of(e) == layout.page_of(f) and _interleave(pos, e, f):
-                crossings.add(crossing_pair(e, f))
+    n, spine = layout.n, layout.spine
+    pos = sorted(range(n), key=spine.__getitem__)  # pos[v]: spine position of v
+    page = [[None] * n for _ in range(n)]  # page[u][w] by vertex
+    for (u, w), pg in zip(all_edges(n), layout.pages):
+        page[u][w] = page[w][u] = pg
     rotations = []
     for v in range(n):
-        pv = pos[v]
-        others = [w for w in range(n) if w != v]
-        right_top = sorted((w for w in others if pos[w] > pv and layout.page_of(edge(v, w)) == PAGE_TOP), key=lambda w: pos[w])
-        left_top = sorted((w for w in others if pos[w] < pv and layout.page_of(edge(v, w)) == PAGE_TOP), key=lambda w: pos[w])
-        left_bottom = sorted((w for w in others if pos[w] < pv and layout.page_of(edge(v, w)) == PAGE_BOTTOM), key=lambda w: -pos[w])
-        right_bottom = sorted((w for w in others if pos[w] > pv and layout.page_of(edge(v, w)) == PAGE_BOTTOM), key=lambda w: -pos[w])
-        rotations.append(tuple(right_top + left_top + left_bottom + right_bottom))
-    labels = tuple(f"spine:{pos[v]}" for v in range(n))
-    return Drawing(n, frozenset(crossings), tuple(rotations), labels)
+        left, right, row = spine[: pos[v]], spine[pos[v] + 1 :], page[v]
+        rotations.append(tuple(
+            [w for w in right if row[w] == PAGE_TOP]
+            + [w for w in left if row[w] == PAGE_TOP]
+            + [w for w in reversed(left) if row[w] == PAGE_BOTTOM]
+            + [w for w in reversed(right) if row[w] == PAGE_BOTTOM]
+        ))
+    by_position = [[page[u][w] for w in spine] for u in spine]
+    crossings = frozenset(interleaving_crossings(spine, by_position))
+    return Drawing(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
 
 
 def _uncrossed_edges_at(

@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
             dr = MonotoneDrawing.from_points(pts)
             coloring = pts.color
         elif kind == "drawing":
-            d, coloring, x_order = formats.parse_drawing(text)
+            d, coloring, x_order = _parse_valid_drawing(text)
             if x_order is None:
                 raise ValueError("monotone solver needs an xorder line in drawing files")
             if args.colors is not None:
@@ -169,11 +169,20 @@ def cmd_solve(args) -> int:
     return _report_exit(rep)
 
 
+def _parse_valid_drawing(text: str):
+    """parse_drawing, refusing drawings that break the structural axioms."""
+    parsed = formats.parse_drawing(text)
+    violations = validate_drawing(parsed[0])
+    if violations:
+        raise ValueError(f"invalid drawing: {'; '.join(violations)}")
+    return parsed
+
+
 def _compile_any(text: str):
     """Instance file -> (Drawing, EdgeColoring or None)."""
     kind = formats.detect_kind(text)
     if kind == "drawing":
-        d, coloring, _ = formats.parse_drawing(text)
+        d, coloring, _ = _parse_valid_drawing(text)
         return d, coloring
     if kind == "cylindrical":
         layout = formats.parse_cylindrical(text)
@@ -333,6 +342,18 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _jobs_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from --jobs or {JOBS_ENV}), got {text!r}"
+        )
+    return jobs
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage errors are input errors (exit 1); argparse's default exit
     # code 2 is reserved for counterexamples.
@@ -394,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--long-run", action="store_true",
                           help="allow exhaustive runs with n >= 7")
-    p_verify.add_argument("--jobs", type=int,
-                          default=int(os.environ.get(JOBS_ENV, "1") or "1"),
-                          help="parallel verification shards")
+    # A string default goes through _jobs_count only when --jobs is absent.
+    p_verify.add_argument("--jobs", type=_jobs_count, default=os.environ.get(JOBS_ENV) or "1",
+                          help=f"parallel verification shards, at most one per CPU "
+                          f"(default: {JOBS_ENV} or 1)")
     p_verify.add_argument("--start", type=int, default=0,
                           help="first record index for resumable class-file runs")
     p_verify.set_defaults(func=cmd_verify)

@@ -9,9 +9,13 @@ extra full turns.  Angles and windings are exact rationals in units of
 pi, so crossing counts are closed-form integer computations:
 
 * same-circle edges cross iff their endpoints interleave on the circle
-  (chords inside the inner circle, arcs outside the outer one);
+  (chords inside the inner circle, arcs outside the outer one); a circle
+  cut open is a one-page book, so these come from the book compiler's
+  4-subset rule;
 * two side edges cross once per integer multiple of a full turn lying
   strictly between their angular differences at the two circles;
+  compilation puts all angles and windings over one common denominator
+  first, so each side pair costs two integer floor divisions;
 * circle-consecutive (cycle) edges are uncrossed, and cross-kind pairs
   never meet.
 
@@ -46,13 +50,13 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
-    crossing_pair,
     edge,
     extract_spanning_tree,
     is_plane,
     is_spanning_tree,
     tree_colors,
 )
+from .book import interleaving_crossings
 
 TURN = Fraction(2)  # full turn in units of pi
 
@@ -143,25 +147,16 @@ def _integers_strictly_between(x: Fraction, y: Fraction) -> int:
 
 
 def side_crossing_count(layout: CylindricalLayout, e: Edge, f: Edge) -> int:
-    """Number of interior meetings of two side-edge spirals."""
+    """Number of interior meetings of two side-edge spirals.
+
+    The per-pair rational form of the count; compile_layout evaluates
+    the same formula in integer ticks over a common denominator.
+    """
     a0 = layout.side_start(e) - layout.side_start(f)
     a1 = (layout.side_start(e) + layout.winding_of(e)) - (
         layout.side_start(f) + layout.winding_of(f)
     )
     return _integers_strictly_between(a0 / TURN, a1 / TURN)
-
-
-def _interleave_circular(e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """Endpoints of independent chords alternate around the circle."""
-    a, b = e
-    c, d = f
-
-    def between(x: int, lo: int, hi: int) -> bool:
-        if lo < hi:
-            return lo < x < hi
-        return x > lo or x < hi
-
-    return between(c, a, b) != between(d, a, b)
 
 
 def compile_layout(layout: CylindricalLayout) -> Drawing:
@@ -171,35 +166,30 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
     than once or any adjacent side pair meets at all.
     """
     p, q, n = layout.n_inner, layout.n_outer, layout.n
-    crossings = set()
-    side_edges = [edge(u, w) for u in range(p) for w in range(p, n)]
-    for i, e in enumerate(side_edges):
-        for f in side_edges[i + 1 :]:
-            m = side_crossing_count(layout, e, f)
-            shared = set(e) & set(f)
-            if shared and m >= 1:
-                raise NotSimpleError(
-                    f"adjacent side edges {e} and {f} meet {m} time(s)"
-                )
-            if not shared and m >= 2:
-                raise NotSimpleError(
-                    f"independent side edges {e} and {f} meet {m} times"
-                )
-            if not shared and m == 1:
-                crossings.add(crossing_pair(e, f))
-    for ids in (list(range(p)), list(range(p, n))):
-        m = len(ids)
-        local = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        for i, e0 in enumerate(local):
-            for f0 in local[i + 1 :]:
-                if set(e0) & set(f0):
-                    continue
-                if _interleave_circular(e0, f0):
-                    crossings.add(
-                        crossing_pair(
-                            edge(ids[e0[0]], ids[e0[1]]), edge(ids[f0[0]], ids[f0[1]])
-                        )
-                    )
+    # Over the common denominator den, a side edge's angular position
+    # runs from start to end in integer ticks, and a full turn is 2*den.
+    den = math.lcm(*(x.denominator for x in layout.inner_angles + layout.outer_angles),
+                   *(x.denominator for row in layout.windings for x in row))
+    turn = 2 * den
+    ticks = [[x.numerator * (den // x.denominator) for x in row] for row in layout.windings]
+    sides = []
+    for u, a in enumerate(layout.inner_angles):
+        start = a.numerator * (den // a.denominator)
+        sides.extend(((u, w), start, start + t) for w, t in enumerate(ticks[u], p))
+    crossings = interleaving_crossings(range(p)) + interleaving_crossings(range(p, n))
+    for i, (e, s0, s1) in enumerate(sides):
+        for f, t0, t1 in sides[i + 1 :]:
+            lo, hi = s0 - t0, s1 - t1
+            if lo > hi:
+                lo, hi = hi, lo
+            m = (hi - 1) // turn - lo // turn  # full turns strictly inside (lo, hi)
+            if m <= 0:
+                continue
+            if e[0] == f[0] or e[1] == f[1]:
+                raise NotSimpleError(f"adjacent side edges {e} and {f} meet {m} time(s)")
+            if m >= 2:
+                raise NotSimpleError(f"independent side edges {e} and {f} meet {m} times")
+            crossings.append((e, f))
 
     # Counterclockwise rotations.  At either circle the side edges take
     # off tilted by the arctangent of their winding, so they appear by
@@ -207,16 +197,12 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
     # neighbor around to the cw one at an inner vertex and reversed at
     # an outer vertex (the disk looks mirrored from outside).
     rotations: list[tuple[int, ...]] = []
-    for v in range(n):
-        if v < p:
-            sides = sorted(range(p, n), key=lambda w: layout.windings[v][w - p])
-            chords = [(v + s) % p for s in range(1, p)]
-            rotations.append(tuple(sides + chords))
-        else:
-            j = v - p
-            sides = sorted(range(p), key=lambda u: layout.windings[u][j])
-            chords = [p + (j - s) % q for s in range(1, q)]
-            rotations.append(tuple(sides + chords))
+    for v in range(p):
+        sides_v = sorted(range(p, n), key=lambda w: ticks[v][w - p])
+        rotations.append(tuple(sides_v + [(v + s) % p for s in range(1, p)]))
+    for j in range(q):
+        sides_v = sorted(range(p), key=lambda u: ticks[u][j])
+        rotations.append(tuple(sides_v + [p + (j - s) % q for s in range(1, q)]))
     labels = tuple("inner" if v < p else "outer" for v in range(n))
     return Drawing(n, frozenset(crossings), tuple(rotations), labels)
 
@@ -498,7 +484,10 @@ def sweep_run(
     Any invariant violation aborts with a counterexample report that
     carries the full step trace.
     """
-    state = sweep_start(d, layout, assert_invariants)
+    return _sweep_from(sweep_start(d, layout, assert_invariants), d)
+
+
+def _sweep_from(state: SweepState, d: Drawing) -> SolveReport:
     ctx = state.ctx
     assert ctx is not None
     max_rounds = 2 * d.n + 4
@@ -521,7 +510,7 @@ def sweep_run(
             state.H = set()
             state.round_no += 1
             state.direction = _flip(state.direction)
-            state.e_cur = first_side_edge(layout, state.v_cur, state.direction)
+            state.e_cur = first_side_edge(ctx.layout, state.v_cur, state.direction)
             state.backbone = [state.v_cur]
     except SweepViolation as exc:
         ctx.record(exc.name, False)
@@ -756,10 +745,10 @@ def solve_cylindrical(
     """Monochromatic plane spanning tree of a 2-colored annulus layout."""
     d = compile_layout(layout)
     try:
-        sweep_start(d, layout, assert_invariants)
+        state = sweep_start(d, layout, assert_invariants)
     except NotApplicableError:
         return reduce_and_solve(d, layout, assert_invariants)
-    return sweep_run(d, layout, assert_invariants)
+    return _sweep_from(state, d)
 
 
 def rotation_order_check(d: Drawing, v: int) -> list[int]:

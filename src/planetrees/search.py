@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -322,6 +321,12 @@ def long_run_enabled() -> bool:
     return os.environ.get(LONG_RUN_ENV, "").strip() not in ("", "0", "false")
 
 
+def pool_size(jobs: int, chunks: int) -> int:
+    """Worker processes for ``jobs`` requested over ``chunks`` units of
+    work: never more than the CPUs or the units, and at least 1."""
+    return max(1, min(jobs, os.cpu_count() or 1, chunks))
+
+
 def verify_all_colorings(
     d: Drawing,
     long_run: bool = False,
@@ -331,7 +336,8 @@ def verify_all_colorings(
 
     The color of edge (0,1) is fixed to 0, so 2^(C(n,2)-1) colorings are
     examined.  Any coloring without a monochromatic plane spanning tree
-    is reported verbatim in the failures list.
+    is reported verbatim in the failures list.  ``jobs`` splits the
+    colorings into one shard per worker, with ``pool_size`` workers.
 
     Exhaustive runs with n >= 7 are refused unless ``long_run`` is set
     (or the PLANETREES_LONG_RUN environment variable enables it): at
@@ -347,14 +353,19 @@ def verify_all_colorings(
     m = d.n * (d.n - 1) // 2
     total = 1 << (m - 1)
     plane_masks = _plane_tree_mask_list(d)
-    if jobs <= 1:
+    workers = pool_size(jobs, total)
+    if workers <= 1:
         checked, failing = _verify_range(d, 0, total, plane_masks)
     else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        chunks = [(d, bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
+        bounds = [total * i // workers for i in range(workers + 1)]
+        chunks = [(d, bounds[i], bounds[i + 1]) for i in range(workers)]
         checked = 0
         failing = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Imported only here: the pool machinery adds about 2 MB to every
+        # process that imports the package, and most runs start no pool.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part_checked, part_failing in pool.map(_verify_range_star, chunks):
                 checked += part_checked
                 failing.extend(part_failing)

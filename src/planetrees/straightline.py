@@ -4,7 +4,11 @@ Points are kept on an integer (or rational) grid and every geometric
 decision runs through exact sign-of-determinant orientation tests, so
 the compiled crossing set is free of floating-point artifacts.  The
 inputs must be in general position: no three collinear points and
-pairwise distinct x-coordinates.
+pairwise distinct x-coordinates.  Compilation computes one orientation
+table over all triples (the order type of the point set) and reads
+everything off it: each 4-subset's single crossing pairing, if any,
+from the orientations of its four triples, and each vertex's rotation
+from the orientations of the triples through it.
 
 The solver works by induction on the vertex set.  If some vertex has
 uncrossed edges of both colors it is peeled off and re-attached later.
@@ -30,8 +34,6 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
-    all_edges,
-    crossing_pair,
     edge,
     is_plane,
     is_spanning_tree,
@@ -68,75 +70,79 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return (val > 0) - (val < 0)
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Proper interior intersection of segments ab and cd (general position)."""
-    return (
-        orient(a, b, c) != orient(a, b, d)
-        and orient(c, d, a) != orient(c, d, b)
-        and orient(a, b, c) != 0
-        and orient(a, b, d) != 0
-        and orient(c, d, a) != 0
-        and orient(c, d, b) != 0
-    )
+def orientation_table(points: Sequence[Point]) -> list[list[list[int]]]:
+    """``o[i][j][k] = orient(points[i], points[j], points[k])`` for all triples.
 
-
-def check_general_position(points: Sequence[Point]) -> None:
+    Raises ValueError unless the points are in general position: a
+    repeated x-coordinate, else the first collinear triple i<j<k.
+    """
     n = len(points)
-    xs = [p[0] for p in points]
-    if len(set(xs)) != n:
+    if len({x for x, _ in points}) != n:
         raise ValueError("duplicate x-coordinate among points")
-    if len(set(points)) != n:
-        raise ValueError("duplicate point")
+    o = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if orient(points[i], points[j], points[k]) == 0:
+                s = orient(points[i], points[j], points[k])
+                if s == 0:
                     raise ValueError(f"collinear points {i}, {j}, {k}")
+                o[i][j][k] = o[j][k][i] = o[k][i][j] = s
+                o[i][k][j] = o[k][j][i] = o[j][i][k] = -s
+    return o
 
 
-def _angular_rotation(points: Sequence[Point], v: int) -> tuple[int, ...]:
-    """Counterclockwise order of the other points around point v."""
-    import functools
+def check_general_position(points: Sequence[Point]) -> None:
+    """Raise orientation_table's ValueError unless in general position."""
+    orientation_table(points)
 
-    pv = points[v]
 
-    def half(w: int) -> int:
-        dx = points[w][0] - pv[0]
-        dy = points[w][1] - pv[1]
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+def _rotation(points: Sequence[Point], o: list[list[list[int]]], v: int) -> tuple[int, ...]:
+    """Counterclockwise order of the other points around point v.
 
-    def cmp(w1: int, w2: int) -> int:
-        h1, h2 = half(w1), half(w2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        a = (points[w1][0] - pv[0], points[w1][1] - pv[1])
-        b = (points[w2][0] - pv[0], points[w2][1] - pv[1])
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else 1
-
-    others = [w for w in range(len(points)) if w != v]
-    return tuple(sorted(others, key=functools.cmp_to_key(cmp)))
+    The half-plane from angle 0 (inclusive) to pi comes first, then the
+    other; inside a half, w1 precedes w2 iff orient(v, w1, w2) > 0, so
+    the rank of w is the number of its half with orient(v, w, .) < 0.
+    """
+    x, y = points[v]
+    halves: tuple[list[int], list[int]] = ([], [])
+    for w, (wx, wy) in enumerate(points):
+        if w != v:
+            halves[0 if wy > y or (wy == y and wx > x) else 1].append(w)
+    rot: list[int] = []
+    for half in halves:
+        ranked = [0] * len(half)
+        for w in half:
+            ranked[(len(half) - 1 - sum(map(o[v][w].__getitem__, half))) // 2] = w
+        rot += ranked
+    return tuple(rot)
 
 
 def compile_points(p: PointDrawing) -> Drawing:
-    """Crossing set by exact segment tests, rotations by angular sort."""
-    check_general_position(p.points)
-    n = p.n
-    edges = all_edges(n)
-    crossings = set()
-    for i, e in enumerate(edges):
-        a, b = p.points[e[0]], p.points[e[1]]
-        for f in edges[i + 1 :]:
-            if set(e) & set(f):
-                continue
-            # Cheap reject: x-ranges must overlap for segments to cross.
-            c, d = p.points[f[0]], p.points[f[1]]
-            if max(a[0], b[0]) < min(c[0], d[0]) or max(c[0], d[0]) < min(a[0], b[0]):
-                continue
-            if segments_cross(a, b, c, d):
-                crossings.add(crossing_pair(e, f))
-    rotations = tuple(_angular_rotation(p.points, v) for v in range(n))
-    rank = {v: r for r, v in enumerate(sorted(range(n), key=lambda v: p.points[v][0]))}
+    """Crossing set and rotations from the orientation table.
+
+    Of the pairings ab|cd, ac|bd, ad|bc of a 4-subset a<b<c<d at most
+    one crosses.  Two segments cross iff each separates the other's
+    ends; written with the signs of the sorted triples abc, abd, acd and
+    bcd, that gives the three tests below.
+    """
+    o, n = orientation_table(p.points), p.n
+    edges = [[(u, w) for w in range(n)] for u in range(n)]  # edges[u][w] for u < w
+    crossings = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            oab, ob, ea, eb = o[a][b], o[b], edges[a], edges[b]
+            for c in range(b + 1, n):
+                abc, oac, obc, ec = oab[c], o[a][c], ob[c], edges[c]
+                for d in range(c + 1, n):
+                    abd, acd, bcd = oab[d], oac[d], obc[d]
+                    if abc != abd and acd != bcd:
+                        crossings.append((ea[b], ec[d]))
+                    elif abc == acd and abd == bcd:
+                        crossings.append((ea[c], eb[d]))
+                    elif abd != acd and abc != bcd:
+                        crossings.append((ea[d], eb[c]))
+    rotations = tuple(_rotation(p.points, o, v) for v in range(n))
+    rank = {v: r for r, v in enumerate(x_order(p.points))}
     labels = tuple(f"x:{rank[v]}" for v in range(n))
     return Drawing(n, frozenset(crossings), rotations, labels)
 

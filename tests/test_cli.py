@@ -249,3 +249,70 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("coloring n=4")
+
+
+# A trusted drawing file whose adjacent edges 0-1 and 0-2 cross: a
+# simple drawing never has that, so every solver path must refuse it.
+ADJACENT_CROSSING_K4 = """drawing n=4
+crossings:
+0-1 0-2
+xorder: 0 1 2 3
+colors: k=2
+e 0 1 : 0
+e 0 2 : 0
+e 0 3 : 0
+e 1 2 : 0
+e 1 3 : 0
+e 2 3 : 0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brute", "--mode", "mono"],
+        ["brute", "--mode", "hypo"],
+        ["verify"],
+        ["solve", "--class", "monotone"],
+    ],
+)
+def test_invalid_trusted_drawing_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.drawing"
+    path.write_text(ADJACENT_CROSSING_K4)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and "adjacent edges cross: 0-1 and 0-2" in out
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert "tree-found" not in out
+    assert err.startswith("error: invalid drawing: adjacent edges cross: 0-1 and 0-2")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_jobs_flag_is_input_error(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--gen", "book", "--n", "4", "--jobs", value])
+    assert info.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_jobs_environment_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PLANETREES_JOBS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--gen", "book", "--n", "4"])
+    assert info.value.code == 1
+    assert f"PLANETREES_JOBS), got {value!r}" in capsys.readouterr().err
+
+
+def test_jobs_flag_overrides_bad_environment(capsys, monkeypatch):
+    monkeypatch.setenv("PLANETREES_JOBS", "abc")
+    code, out, _ = run(capsys, "verify", "--gen", "book", "--n", "4", "--jobs", "1")
+    assert code == 0
+    assert kv(out)["status"] == "verified"
+
+
+def test_bad_jobs_environment_does_not_affect_other_commands(capsys, monkeypatch):
+    monkeypatch.setenv("PLANETREES_JOBS", "abc")
+    code, out, _ = run(capsys, "gen", "--class", "book", "--n", "4", "--seed", "1")
+    assert code == 0
+    assert out.startswith("book n=4")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from planetrees.core import EdgeColoring, edge, is_plane, is_spanning_tree
@@ -7,6 +9,7 @@ from planetrees.search import (
     enumerate_spanning_trees,
     find_plane_tree,
     nonspanning_fallback,
+    pool_size,
     verify_class_file,
     verify_all_colorings,
 )
@@ -241,3 +244,16 @@ def test_class_file_parse_error_has_line(tmp_path):
     path.write_text("4;0-2 1-3\n4;0-x 1-3\n")
     with pytest.raises(ParseError, match="line 2"):
         verify_class_file(str(path))
+
+
+def test_pool_size_is_clamped_to_cpus_and_chunks(monkeypatch):
+    # The computed worker count is checked directly; no pool is started.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_size(1, 1 << 14) == 1
+    assert pool_size(3, 1 << 14) == 3
+    assert pool_size(1000, 1 << 14) == 4
+    assert pool_size(10**9, 1 << 14) == 4
+    assert pool_size(1000, 2) == 2
+    assert pool_size(0, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(8, 100) == 1

@@ -31,6 +31,7 @@ from .monotone import MonotoneDrawing, solve_monotone
 from .render import render_svg
 from .search import (
     JOBS_ENV,
+    VerifyReport,
     find_plane_tree,
     long_run_enabled,
     verify_class_file,
@@ -220,46 +221,7 @@ def cmd_brute(args) -> int:
     return _report_exit(rep)
 
 
-def cmd_verify(args) -> int:
-    long_run = args.long_run or long_run_enabled()
-    jobs = args.jobs
-    if args.gen is not None:
-        seed = args.seed
-        n = args.n
-        if n is None:
-            raise ValueError("verify --gen needs --n")
-        if args.gen == "cylindrical":
-            n_inner = args.n_inner if args.n_inner is not None else n // 2
-            d = compile_layout(gen_cylindrical(n_inner, n - n_inner, seed))
-        elif args.gen == "book":
-            d = compile_book(gen_book(n, seed))
-        elif args.gen == "points":
-            d = compile_points(gen_points(n, seed))
-        else:
-            raise ValueError(f"unknown generator class {args.gen!r}")
-        report = verify_all_colorings(d, long_run=long_run, jobs=jobs)
-        _emit("n", report.n)
-        _emit("colorings", report.colorings_checked)
-        _emit("plane-trees", report.plane_tree_count)
-        _emit("failures", len(report.failures))
-        for fail in report.failures:
-            _emit("failing-coloring", fail["coloring"])
-        _emit("status", "verified" if report.passed else "counterexample")
-        return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
-
-    text = _read(args.file)
-    kind = formats.detect_kind(text)
-    if kind == "class":
-        report = verify_class_file(args.file, long_run=long_run, jobs=jobs, start_index=args.start)
-        _emit("records", report.records_verified)
-        _emit("colorings", report.colorings_checked)
-        _emit("failures", len(report.failures))
-        for rec_no, fail in report.failures:
-            _emit(f"failing-record-{rec_no}", fail["coloring"])
-        _emit("status", "verified" if report.passed else "counterexample")
-        return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
-    d, _ = _compile_any(text)
-    report = verify_all_colorings(d, long_run=long_run, jobs=jobs)
+def _emit_verify(report: VerifyReport) -> int:
     _emit("n", report.n)
     _emit("colorings", report.colorings_checked)
     _emit("plane-trees", report.plane_tree_count)
@@ -268,6 +230,41 @@ def cmd_verify(args) -> int:
         _emit("failing-coloring", fail["coloring"])
     _emit("status", "verified" if report.passed else "counterexample")
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
+
+
+def _generated_drawing(args) -> Drawing:
+    seed = args.seed
+    n = args.n
+    if n is None:
+        raise ValueError("verify --gen needs --n")
+    if args.gen == "cylindrical":
+        n_inner = args.n_inner if args.n_inner is not None else n // 2
+        return compile_layout(gen_cylindrical(n_inner, n - n_inner, seed))
+    if args.gen == "book":
+        return compile_book(gen_book(n, seed))
+    if args.gen == "points":
+        return compile_points(gen_points(n, seed))
+    raise ValueError(f"unknown generator class {args.gen!r}")
+
+
+def cmd_verify(args) -> int:
+    long_run = args.long_run or long_run_enabled()
+    jobs = args.jobs
+    if args.gen is not None:
+        d = _generated_drawing(args)
+    else:
+        text = _read(args.file)
+        if formats.detect_kind(text) == "class":
+            report = verify_class_file(args.file, long_run=long_run, jobs=jobs, start_index=args.start)
+            _emit("records", report.records_verified)
+            _emit("colorings", report.colorings_checked)
+            _emit("failures", len(report.failures))
+            for rec_no, fail in report.failures:
+                _emit(f"failing-record-{rec_no}", fail["coloring"])
+            _emit("status", "verified" if report.passed else "counterexample")
+            return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
+        d, _ = _compile_any(text)
+    return _emit_verify(verify_all_colorings(d, long_run=long_run, jobs=jobs))
 
 
 def cmd_gen(args) -> int:
@@ -327,7 +324,7 @@ def cmd_render(args) -> int:
     text = _read(args.file)
     kind = formats.detect_kind(text)
     if kind == "drawing":
-        obj = formats.parse_drawing(text)[0]
+        obj = _parse_valid_drawing(text)[0]
     elif kind in ("cylindrical", "book", "points"):
         obj = formats.parse_any(text)
     else:

@@ -12,6 +12,7 @@ Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -32,9 +33,19 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+@functools.lru_cache(maxsize=64)
+def edge_table(n: int) -> tuple[Edge, ...]:
+    """All C(n,2) edges of K_n in lexicographic order, built once per n.
+
+    Solvers put these very tuples into the trees they return, so the
+    edges of many answers share one copy.
+    """
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def all_edges(n: int) -> list[Edge]:
     """All C(n,2) edges of K_n in lexicographic order."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return list(edge_table(n))
 
 
 def edge_index(n: int, e: Edge) -> int:
@@ -47,6 +58,25 @@ def edge_index(n: int, e: Edge) -> int:
 def crossing_pair(e: Edge, f: Edge) -> CrossingPair:
     """Canonical (lexicographically sorted) unordered pair of edges."""
     return (e, f) if e <= f else (f, e)
+
+
+def _canonical_pairs(crossings) -> bool:
+    """True when ``crossings`` is a frozenset that rebuilding with
+    ``crossing_pair(edge(...), edge(...))`` would leave unchanged."""
+    if type(crossings) is not frozenset:
+        return False
+    try:
+        for p in crossings:
+            e, f = p
+            u, v = e
+            x, y = f
+            if not (u < v and x < y and (u < x or u == x and v <= y)):
+                return False
+            if type(p) is not tuple or type(e) is not tuple or type(f) is not tuple:
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _canonical_rotation(rot: Iterable[int]) -> tuple[int, ...]:
@@ -76,8 +106,9 @@ class Drawing:
     vertex_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        pairs = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in self.crossings)
-        object.__setattr__(self, "crossings", pairs)
+        if not _canonical_pairs(self.crossings):
+            pairs = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in self.crossings)
+            object.__setattr__(self, "crossings", pairs)
         if self.rotations is not None:
             canon = tuple(_canonical_rotation(r) for r in self.rotations)
             object.__setattr__(self, "rotations", canon)

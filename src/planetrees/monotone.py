@@ -27,6 +27,8 @@ from .core import (
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
     edge,
+    edge_index,
+    edge_table,
     induced_subdrawing,
     is_plane,
     is_spanning_tree,
@@ -151,6 +153,7 @@ def solve_monotone(
     removed = removable[0]
 
     # Second pass: a tree avoiding the removed color for every group.
+    table = edge_table(n)
     union = set()
     group_trees = []
     for gi, ((sub_d, sub_c), rep) in enumerate(zip(induced, cached)):
@@ -172,7 +175,7 @@ def solve_monotone(
                 )
         assert rep.tree is not None
         gv = group_vertices[gi]
-        mapped = frozenset(edge(gv[a], gv[b]) for a, b in rep.tree)
+        mapped = frozenset(table[edge_index(n, edge(gv[a], gv[b]))] for a, b in rep.tree)
         group_trees.append(sorted(mapped))
         union |= mapped
 

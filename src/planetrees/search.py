@@ -14,13 +14,21 @@ order).  On top of the enumeration sit three users:
   every 2-edge-coloring (up to swapping the two colors) admits a
   monochromatic plane spanning tree.
 
-The verifier's inner loop works on bitmasks over the edge ranks of
-K_n: candidate trees and color classes become integers and the
-planarity test is a precomputed conflict table.
+Trees and color classes are bitmasks over the edge ranks of K_n, and
+the planarity test is a precomputed conflict table.  The verifier is
+bit-sliced (Biham, FSE 1997): coloring index bit i-1 is the color of
+edge i, so across a block of 2^B consecutive indices edges 1..B vary
+and each has a periodic bit-plane, one 2^B-bit integer holding its
+color in every coloring of the block.  A plane tree whose fixed edges
+allow a monochromatic color covers the AND of its varying edges'
+planes (color 1) or of their complements (color 0); the failures are
+the bits no tree covers.  One pass over the plane trees thus tests a
+whole block, at most 2^16 colorings, at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from dataclasses import dataclass
@@ -35,16 +43,17 @@ from .core import (
     STATUS_COUNTEREXAMPLE,
     STATUS_NOT_APPLICABLE,
     STATUS_TREE_FOUND,
-    all_edges,
     color_class_components,
     edge,
     edge_index,
+    edge_table,
 )
 
 ENUMERATION_LIMIT = 10
 DESK_SCALE_LIMIT = 6
 LONG_RUN_ENV = "PLANETREES_LONG_RUN"
 JOBS_ENV = "PLANETREES_JOBS"
+BLOCK_BITS = 16  # colorings per block: 2^16, one 8 KB integer per bit-plane
 
 
 def _decode_tree(n: int, seq: tuple[int, ...]) -> frozenset[Edge]:
@@ -114,7 +123,7 @@ def _tree_masks(n: int) -> tuple[int, ...]:
 
 
 def _mask_to_edges(n: int, mask: int) -> EdgeSet:
-    ranked = all_edges(n)
+    ranked = edge_table(n)
     return frozenset(e for i, e in enumerate(ranked) if mask >> i & 1)
 
 
@@ -273,40 +282,70 @@ def _plane_tree_mask_list(d: Drawing) -> list[int]:
     return [m for m in _iter_tree_masks(d.n, allow_large=True) if _mask_is_plane(m, conflict)]
 
 
-def _verify_range(d: Drawing, start: int, stop: int, plane_masks: Optional[list[int]] = None) -> tuple[int, list[int]]:
+@functools.lru_cache(maxsize=4)
+def _bit_planes(block_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where each varying edge has color 0, and where color 1, in one block.
+
+    Bit j of planes[1][i] is bit i-1 of j, for j < 2^block_bits: 2^(i-1)
+    zeros then 2^(i-1) ones, repeated.  One period is multiplied by
+    the repunit of that period, so no loop runs over the indices.
+    planes[0][i] is its complement.  Entry 0 is unused, because edge 0
+    never varies.
+    """
+    size = 1 << block_bits
+    full = (1 << size) - 1
+    ones = [0]
+    for i in range(1, block_bits + 1):
+        half = 1 << (i - 1)
+        period = ((1 << half) - 1) << half
+        ones.append(period * (full // ((1 << 2 * half) - 1)))
+    return tuple(full ^ plane for plane in ones), tuple(ones)
+
+
+def _verify_range(plane_masks: list[int], start: int, stop: int, block_bits: int) -> tuple[int, list[int]]:
     """Check colorings with index in [start, stop); returns count and failing indices.
 
-    Coloring index bits are the colors of the edges after (0,1), whose
-    color is fixed to 0 (global color swap symmetry).
+    Coloring index bit i-1 is the color of edge i; edge 0, the edge
+    (0,1), has color 0 (global color swap symmetry).  Indices are taken
+    in blocks of 2^block_bits: inside a block edges 1..block_bits vary
+    and the higher edges have the colors of the block number's bits.  A
+    tree is monochromatic in a color on the AND of its varying edges'
+    planes for that color, provided its fixed edges have that color.
     """
-    if plane_masks is None:
-        plane_masks = _plane_tree_mask_list(d)
-    if not plane_masks:
-        # Cannot happen for valid drawings (stars are pairwise adjacent,
-        # hence always plane) but keeps malformed input honest.
-        return stop - start, list(range(start, stop))
-    failures = []
-    checked = 0
-    cached = plane_masks[0]
-    for idx in range(start, stop):
-        coloring_mask = idx << 1
-        checked += 1
-        hit = cached & coloring_mask == 0 or cached & coloring_mask == cached
-        if not hit:
-            for t in plane_masks:
-                inter = t & coloring_mask
-                if inter == 0 or inter == t:
-                    cached = t
-                    hit = True
-                    break
-        if not hit:
-            failures.append(idx)
-    return checked, failures
-
-
-def _verify_range_star(args) -> tuple[int, list[int]]:
-    d, start, stop = args
-    return _verify_range(d, start, stop)
+    planes = _bit_planes(block_bits)
+    size = 1 << block_bits
+    full = (1 << size) - 1
+    failures: list[int] = []
+    for block in range(start >> block_bits, (stop + size - 1) >> block_bits):
+        base = block << block_bits
+        lo, hi = max(start - base, 0), min(stop - base, size)
+        # Indices outside [start, stop) count as covered from the outset.
+        covered = full ^ ((1 << hi) - (1 << lo))
+        terms = set()
+        for t in plane_masks:
+            fixed = t >> (block_bits + 1)
+            varying = t >> 1 & (size - 1)
+            if not fixed & block:
+                terms.add((varying, 0))
+            if not t & 1 and not fixed & ~block:
+                terms.add((varying, 1))
+        # Trees with the fewest varying edges cover the most colorings.
+        for varying, color in sorted(terms, key=lambda term: term[0].bit_count()):
+            if covered == full:
+                break
+            color_planes = planes[color]
+            acc = full
+            while varying:
+                low = varying & -varying
+                acc &= color_planes[low.bit_length()]
+                varying ^= low
+            covered |= acc
+        bits = format(full ^ covered, "b")[::-1]
+        i = bits.find("1")
+        while i >= 0:
+            failures.append(base + i)
+            i = bits.find("1", i + 1)
+    return stop - start, failures
 
 
 def _coloring_from_index(n: int, idx: int) -> EdgeColoring:
@@ -327,49 +366,49 @@ def pool_size(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, chunks))
 
 
-def verify_all_colorings(
-    d: Drawing,
-    long_run: bool = False,
-    jobs: int = 1,
-) -> VerifyReport:
-    """Check all 2-edge-colorings of a drawing for monochromatic plane trees.
-
-    The color of edge (0,1) is fixed to 0, so 2^(C(n,2)-1) colorings are
-    examined.  Any coloring without a monochromatic plane spanning tree
-    is reported verbatim in the failures list.  ``jobs`` splits the
-    colorings into one shard per worker, with ``pool_size`` workers.
-
-    Exhaustive runs with n >= 7 are refused unless ``long_run`` is set
-    (or the PLANETREES_LONG_RUN environment variable enables it): at
-    n=7 a single drawing already needs 2^20 colorings, and at n=8 there
-    are 5,370,725 weak isomorphism classes of drawings with more than
-    10^8 colorings each, far beyond desk scale.
-    """
-    if d.n > DESK_SCALE_LIMIT and not (long_run or long_run_enabled()):
+def _check_desk_scale(n: int, long_run: bool) -> None:
+    if n > DESK_SCALE_LIMIT and not (long_run or long_run_enabled()):
         raise ValueError(
-            f"refusing exhaustive verification for n={d.n} > {DESK_SCALE_LIMIT} "
+            f"refusing exhaustive verification for n={n} > {DESK_SCALE_LIMIT} "
             f"without the long-run flag"
         )
-    m = d.n * (d.n - 1) // 2
-    total = 1 << (m - 1)
-    plane_masks = _plane_tree_mask_list(d)
-    workers = pool_size(jobs, total)
-    if workers <= 1:
-        checked, failing = _verify_range(d, 0, total, plane_masks)
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        chunks = [(d, bounds[i], bounds[i + 1]) for i in range(workers)]
-        checked = 0
-        failing = []
-        # Imported only here: the pool machinery adds about 2 MB to every
-        # process that imports the package, and most runs start no pool.
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_checked, part_failing in pool.map(_verify_range_star, chunks):
-                checked += part_checked
-                failing.extend(part_failing)
-        failing.sort()
+
+def _coloring_blocks(n: int) -> tuple[int, int]:
+    """Colorings of a drawing of K_n, and the bits of the blocks covering them."""
+    m = n * (n - 1) // 2
+    return 1 << (m - 1), min(BLOCK_BITS, m - 1)
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool of ``workers``, or None when one worker suffices."""
+    if workers <= 1:
+        yield None
+        return
+    # Imported only here: the pool machinery adds about 2 MB to every
+    # process that imports the package, and most runs start no pool.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _verify(d: Drawing, pool, workers: int) -> VerifyReport:
+    total, block_bits = _coloring_blocks(d.n)
+    plane_masks = _plane_tree_mask_list(d)
+    blocks = total >> block_bits
+    shards = min(workers, blocks)
+    if shards <= 1:
+        checked, failing = _verify_range(plane_masks, 0, total, block_bits)
+    else:
+        # Whole blocks per shard, in ascending order, so failures stay sorted.
+        bounds = [(blocks * i // shards) << block_bits for i in range(shards + 1)]
+        parts = list(
+            pool.map(_verify_range, [plane_masks] * shards, bounds[:-1], bounds[1:], [block_bits] * shards)
+        )
+        checked = sum(part_checked for part_checked, _ in parts)
+        failing = [idx for _, part_failing in parts for idx in part_failing]
     failures = tuple(
         {"coloring_index": idx, "coloring": _coloring_from_index(d.n, idx).as_map()}
         for idx in failing
@@ -380,6 +419,32 @@ def verify_all_colorings(
         failures=failures,
         plane_tree_count=len(plane_masks),
     )
+
+
+def verify_all_colorings(
+    d: Drawing,
+    long_run: bool = False,
+    jobs: int = 1,
+) -> VerifyReport:
+    """Check all 2-edge-colorings of a drawing for monochromatic plane trees.
+
+    The color of edge (0,1) is fixed to 0, so 2^(C(n,2)-1) colorings are
+    examined.  Any coloring without a monochromatic plane spanning tree
+    is reported verbatim in the failures list.  ``jobs`` splits the
+    blocks of colorings into one shard per worker, with ``pool_size``
+    workers; drawings with n <= 6 fit in one block and run serially.
+
+    Exhaustive runs with n >= 7 are refused unless ``long_run`` is set
+    (or the PLANETREES_LONG_RUN environment variable enables it): at
+    n=7 a single drawing already needs 2^20 colorings, and at n=8 there
+    are 5,370,725 weak isomorphism classes of drawings with more than
+    10^8 colorings each, far beyond desk scale.
+    """
+    _check_desk_scale(d.n, long_run)
+    total, block_bits = _coloring_blocks(d.n)
+    workers = pool_size(jobs, total >> block_bits)
+    with _worker_pool(workers) as pool:
+        return _verify(d, pool, workers)
 
 
 @dataclass(frozen=True)
@@ -410,19 +475,23 @@ def verify_class_file(
     from .formats import parse_class_file
 
     records = parse_class_file(path)
-    verified = 0
+    todo = [(rec_no, drawing) for rec_no, drawing in enumerate(records) if rec_no >= start_index]
+    blocks = 1
+    for _, drawing in todo:
+        _check_desk_scale(drawing.n, long_run)
+        total, block_bits = _coloring_blocks(drawing.n)
+        blocks = max(blocks, total >> block_bits)
+    workers = pool_size(jobs, blocks)
     colorings = 0
     failures: list[tuple[int, dict]] = []
-    for rec_no, drawing in enumerate(records):
-        if rec_no < start_index:
-            continue
-        report = verify_all_colorings(drawing, long_run=long_run, jobs=jobs)
-        verified += 1
-        colorings += report.colorings_checked
-        for fail in report.failures:
-            failures.append((rec_no, fail))
+    with _worker_pool(workers) as pool:
+        for rec_no, drawing in todo:
+            report = _verify(drawing, pool, workers)
+            colorings += report.colorings_checked
+            for fail in report.failures:
+                failures.append((rec_no, fail))
     return ClassFileReport(
-        records_verified=verified,
+        records_verified=len(todo),
         colorings_checked=colorings,
         failures=tuple(failures),
         first_record=start_index,

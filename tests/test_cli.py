@@ -287,6 +287,16 @@ def test_invalid_trusted_drawing_is_input_error(capsys, tmp_path, argv):
     assert err.startswith("error: invalid drawing: adjacent edges cross: 0-1 and 0-2")
 
 
+def test_invalid_trusted_drawing_is_not_rendered(capsys, tmp_path):
+    path = tmp_path / "bad.drawing"
+    path.write_text(ADJACENT_CROSSING_K4)
+    svg = tmp_path / "bad.svg"
+    code, out, err = run(capsys, "render", str(path), "-o", str(svg))
+    assert code == 1
+    assert not svg.exists()
+    assert err.startswith("error: invalid drawing: adjacent edges cross: 0-1 and 0-2")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_bad_jobs_flag_is_input_error(capsys, value):
     with pytest.raises(SystemExit) as info:

@@ -23,9 +23,6 @@ from .cylindrical import (
     reduce_and_solve,
     rotation_order_check,
     solve_cylindrical,
-    sweep_round,
-    sweep_run,
-    sweep_start,
 )
 from .generators import GenerationError, gen_book, gen_coloring, gen_cylindrical, gen_points
 from .monotone import MonotoneDrawing, colors_needed, group_partition, solve_monotone

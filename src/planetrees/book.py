@@ -26,13 +26,12 @@ from .core import (
     EdgeColoring,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
-    STATUS_TREE_FOUND,
     all_edges,
+    certify,
     edge,
     edge_index,
-    is_plane,
-    is_spanning_tree,
-    tree_colors,
+    induced_mask,
+    peel_candidate,
 )
 
 PAGE_TOP = "top"
@@ -130,21 +129,6 @@ def compile_book(layout: BookLayout) -> Drawing:
     return Drawing(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
 
 
-def _uncrossed_edges_at(
-    d: Drawing, vertices: list[int], v: int, partners: dict[Edge, frozenset[Edge]]
-) -> list[Edge]:
-    """Edges at v that cross nothing within the induced vertex set."""
-    alive = set(vertices)
-    result = []
-    for w in vertices:
-        if w == v:
-            continue
-        e = edge(v, w)
-        if all(not set(f) <= alive for f in partners.get(e, ())):
-            result.append(e)
-    return result
-
-
 def solve_book(layout: BookLayout, coloring: Optional[EdgeColoring] = None) -> SolveReport:
     """Monochromatic plane spanning tree of a 2-colored book drawing.
 
@@ -161,33 +145,20 @@ def solve_book(layout: BookLayout, coloring: Optional[EdgeColoring] = None) -> S
     d = compile_book(layout)
     n = layout.n
     pos = {v: i for i, v in enumerate(layout.spine)}
-    partners = d.crossing_partners()
 
-    alive = sorted(range(n), key=lambda v: pos[v])
+    alive = list(layout.spine)  # kept in spine order: lowest position first
     removed: list[tuple[int, dict[int, Edge]]] = []
     while True:
-        candidate = None
-        for v in alive:  # alive is kept in spine order: lowest position first
-            byc: dict[int, Edge] = {}
-            for e in _uncrossed_edges_at(d, alive, v, partners):
-                c = color.color_of_edge(e)
-                if c not in byc or _nearer(pos, v, e, byc[c]):
-                    byc[c] = e
-            if len(byc) == 2:
-                candidate = (v, byc)
-                break
+        candidate = peel_candidate(d, color, alive, lambda v, w: abs(pos[w] - pos[v]))
         if candidate is None:
             break
-        v, byc = candidate
-        removed.append((v, byc))
-        alive.remove(v)
+        removed.append(candidate)
+        alive.remove(candidate[0])
 
     checked: list[tuple[str, bool]] = []
     path_edges = [edge(alive[i], alive[i + 1]) for i in range(len(alive) - 1)]
-    alive_set = set(alive)
-    path_uncrossed = all(
-        not any(set(f) <= alive_set for f in partners.get(e, ())) for e in path_edges
-    )
+    alive_mask = induced_mask(n, alive)
+    path_uncrossed = not any(d.conflicts[edge_index(n, e)] & alive_mask for e in path_edges)
     checked.append(("residual-path-uncrossed", path_uncrossed))
     path_colors = {color.color_of_edge(e) for e in path_edges}
     path_mono = len(path_colors) <= 1
@@ -216,34 +187,5 @@ def solve_book(layout: BookLayout, coloring: Optional[EdgeColoring] = None) -> S
                 witness={"reason": "re-attachment impossible", "vertex": v},
             )
         tree.add(attach)
-
-    result = frozenset(tree)
-    plane = is_plane(d, result)
-    spanning = is_spanning_tree(n, result)
-    mono = len(tree_colors(color, result)) == 1
-    checked += [("output-plane", plane), ("output-spanning-tree", spanning), ("output-monochromatic", mono)]
-    if not (plane and spanning and mono):
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            tree=result,
-            checked_invariants=tuple(checked),
-            witness={"reason": "output predicates failed"},
-        )
-    assert tree_color is not None
-    return SolveReport(
-        status=STATUS_TREE_FOUND,
-        tree=result,
-        avoided_colors=frozenset({1 - tree_color}),
-        checked_invariants=tuple(checked),
-        witness={"tree_color": tree_color, "removed_vertices": [v for v, _ in removed]},
-    )
-
-
-def _nearer(pos: dict[int, int], v: int, e: Edge, old: Edge) -> bool:
-    """Prefer the uncrossed edge to the nearer spine neighbor."""
-
-    def dist(x: Edge) -> tuple[int, int]:
-        w = x[0] if x[1] == v else x[1]
-        return abs(pos[w] - pos[v]), w
-
-    return dist(e) < dist(old)
+    witness = {"removed_vertices": [v for v, _ in removed]}
+    return certify(d, color, frozenset(tree), checked, witness=witness)

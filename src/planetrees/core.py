@@ -7,7 +7,16 @@ to this representation; every solver consumes only the combinatorial
 data.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
-``frozenset`` of such tuples.  All predicates here are pure functions.
+``frozenset`` of such tuples.  Solvers ask their questions through one
+index: ``Drawing.conflicts``, built on first use, holds for each edge
+rank (the lexicographic order of ``edge_table``) the bitmask of the
+edges crossing it.  An edge set is plane when no member's mask meets
+the set's own mask, and an edge is uncrossed among a vertex subset
+when its mask misses the subset's edges.  The same module holds the
+one peel step (``peel_candidate``) and the one output check
+(``certify``) the solvers share.  The certificate itself, ``is_plane``,
+scans the crossing pairs and never reads the index, so an answer is
+checked independently of the structure it was searched with.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
 EdgeSet = frozenset[Edge]
@@ -41,6 +50,16 @@ def edge_table(n: int) -> tuple[Edge, ...]:
     edges of many answers share one copy.
     """
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_ranks(n: int) -> dict[Edge, int]:
+    return {e: i for i, e in enumerate(edge_table(n))}
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_bits(n: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(n * (n - 1) // 2))
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -113,13 +132,25 @@ class Drawing:
             canon = tuple(_canonical_rotation(r) for r in self.rotations)
             object.__setattr__(self, "rotations", canon)
 
-    def crossing_partners(self) -> dict[Edge, frozenset[Edge]]:
-        """Map each edge to the set of edges crossing it."""
-        partners: dict[Edge, set[Edge]] = {}
-        for e, f in self.crossings:
-            partners.setdefault(e, set()).add(f)
-            partners.setdefault(f, set()).add(e)
-        return {e: frozenset(s) for e, s in partners.items()}
+    @functools.cached_property
+    def conflicts(self) -> tuple[int, ...]:
+        """Bitmask of the edges crossing each edge, in ``edge_index`` order.
+
+        Built on first use and kept outside the dataclass fields, so
+        equality, hashing and serialization never see it.  Raises
+        ValueError when a crossing pair has an edge outside K_n.
+        """
+        rank, bits = _edge_ranks(self.n), _edge_bits(self.n)
+        out = [0] * len(bits)
+        for pair in self.crossings:
+            try:
+                i, j = rank[pair[0]], rank[pair[1]]
+            except KeyError:
+                u, v = next(e for e in pair if e not in rank)
+                raise ValueError(f"crossing edge {u}-{v} out of range for n={self.n}") from None
+            out[i] |= bits[j]
+            out[j] |= bits[i]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -233,6 +264,62 @@ def is_plane(d: Drawing, s: EdgeSet) -> bool:
     return True
 
 
+def edge_mask(n: int, edges: Iterable[Edge]) -> int:
+    """Bitmask of the edges of K_n in ``edges``; other edges are skipped."""
+    rank, bits = _edge_ranks(n), _edge_bits(n)
+    mask = 0
+    for e in edges:
+        if e in rank:
+            mask |= bits[rank[e]]
+    return mask
+
+
+def induced_mask(n: int, vs: Iterable[int]) -> int:
+    """Bitmask of the edges of K_n with both ends in ``vs``."""
+    return edge_mask(n, itertools.combinations(sorted(vs), 2))
+
+
+def mask_is_plane(mask: int, conflicts: Sequence[int]) -> bool:
+    """True iff no edge of the bitmask crosses another edge of it."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if conflicts[low.bit_length() - 1] & mask:
+            return False
+        rest ^= low
+    return True
+
+
+def peel_candidate(
+    d: Drawing, coloring: EdgeColoring, order: Sequence[int], dist: Callable[[int, int], object]
+) -> Optional[tuple[int, dict[int, Edge]]]:
+    """First vertex of ``order`` with uncrossed edges of both colors.
+
+    An edge counts as uncrossed when no edge between two vertices of
+    ``order`` crosses it.  Returns (v, {color: edge}), where each color's
+    edge goes to the w with the least (dist(v, w), w), or None when no
+    vertex qualifies.
+    """
+    rank = _edge_ranks(d.n)
+    conflicts, colors = d.conflicts, coloring.colors
+    alive = induced_mask(d.n, order)
+    for v in order:
+        best: dict[int, tuple] = {}
+        for w in order:
+            if w == v:
+                continue
+            r = rank[(v, w) if v < w else (w, v)]
+            if conflicts[r] & alive:
+                continue
+            key = (dist(v, w), w)
+            c = colors[r]
+            if c not in best or key < best[c]:
+                best[c] = key
+        if len(best) == 2:
+            return v, {c: edge(v, w) for c, (_, w) in best.items()}
+    return None
+
+
 def is_spanning_tree(n: int, s: EdgeSet) -> bool:
     """True iff s has n-1 edges and connects all n vertices."""
     if len(s) != n - 1:
@@ -305,33 +392,33 @@ def induced_subdrawing(
     for v in order:
         if not 0 <= v < d.n:
             raise ValueError(f"vertex {v} out of range for n={d.n}")
-    index = {v: i for i, v in enumerate(order)}
-    keep = set(order)
-
-    def map_edge(e: Edge) -> Edge:
-        return edge(index[e[0]], index[e[1]])
-
-    crossings = frozenset(
-        crossing_pair(map_edge(e), map_edge(f))
-        for e, f in d.crossings
-        if set(e) <= keep and set(f) <= keep
-    )
+    k = len(order)
+    rank, conflicts = _edge_ranks(d.n), d.conflicts
+    # Old rank -> new edge for every kept edge, keyed by its bit.
+    new_edges = edge_table(k)
+    ranks = [rank[edge(order[i], order[j])] for i, j in new_edges]
+    by_bit = {1 << r: e for r, e in zip(ranks, new_edges)}
+    kept = sum(by_bit)
+    pairs = []
+    for r, e in zip(ranks, new_edges):
+        rest = conflicts[r] & kept & ~((2 << r) - 1)  # each pair once, from its lower rank
+        while rest:
+            low = rest & -rest
+            pairs.append(crossing_pair(e, by_bit[low]))
+            rest ^= low
     rotations = None
     if d.rotations is not None:
+        index = {v: i for i, v in enumerate(order)}
         rotations = tuple(
-            tuple(index[w] for w in d.rotations[v] if w in keep) for v in order
+            tuple(index[w] for w in d.rotations[v] if w in index) for v in order
         )
     labels = None
     if d.vertex_labels is not None:
         labels = tuple(d.vertex_labels[v] for v in order)
-    sub = Drawing(len(order), crossings, rotations, labels)
+    sub = Drawing(k, frozenset(pairs), rotations, labels)
     sub_coloring = None
     if c is not None:
-        mapping = {
-            map_edge((u, v)): c.color_of(u, v)
-            for u, v in itertools.combinations(sorted(keep), 2)
-        }
-        sub_coloring = EdgeColoring.from_map(len(order), c.k, mapping)
+        sub_coloring = EdgeColoring(k, c.k, tuple(c.colors[r] for r in ranks))
     return sub, sub_coloring
 
 
@@ -365,3 +452,56 @@ def extract_spanning_tree(n: int, s: EdgeSet) -> EdgeSet:
     if len(seen) != n:
         raise ValueError("subgraph is not spanning-connected")
     return frozenset(tree)
+
+
+def certify(
+    d: Drawing,
+    coloring: EdgeColoring,
+    tree: EdgeSet,
+    checked: Iterable[tuple[str, bool]] = (),
+    *,
+    color: Optional[int] = None,
+    avoid: Optional[int] = None,
+    extra: Iterable[tuple[str, bool]] = (),
+    witness: Optional[dict] = None,
+    failure: Optional[dict] = None,
+) -> SolveReport:
+    """Check a solver's answer and build its report.
+
+    Appends to ``checked``, in this order, ``output-plane`` (through
+    ``is_plane``), ``output-spanning-tree``, and one color check:
+    ``avoids-removed-color`` when ``avoid`` is given, otherwise
+    ``output-monochromatic`` (the tree uses exactly ``color`` when it is
+    given, some single color otherwise); then the ``extra`` checks.
+    A tree passing all of them is found, with ``witness`` plus, when
+    monochromatic, its ``tree_color``; otherwise the report is a
+    counterexample carrying the tree and ``failure`` with a ``reason``.
+    ``avoided_colors`` is every color the tree leaves unused, or the
+    complement of ``color`` when one was demanded.
+    """
+    used = tree_colors(coloring, tree)
+    if avoid is not None:
+        color_check = ("avoids-removed-color", avoid not in used)
+    elif color is not None:
+        color_check = ("output-monochromatic", used == {color})
+    else:
+        color_check = ("output-monochromatic", len(used) == 1)
+    own = (
+        ("output-plane", is_plane(d, tree)),
+        ("output-spanning-tree", is_spanning_tree(d.n, tree)),
+        color_check,
+        *extra,
+    )
+    passed = all(ok for _, ok in own)
+    colors = frozenset(range(coloring.k))
+    if color is not None:
+        avoided = colors - {color}
+    else:
+        avoided = colors - used if passed else frozenset()
+    if passed:
+        status, info = STATUS_TREE_FOUND, dict(witness or {})
+        if avoid is None:
+            info["tree_color"] = next(iter(used))
+    else:
+        status, info = STATUS_COUNTEREXAMPLE, {"reason": "output predicates failed", **(failure or {})}
+    return SolveReport(status, tree, avoided, tuple(checked) + own, info)

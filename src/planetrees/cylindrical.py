@@ -46,14 +46,14 @@ from .core import (
     Drawing,
     Edge,
     EdgeColoring,
-    EdgeSet,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
+    certify,
     edge,
+    edge_mask,
     extract_spanning_tree,
-    is_plane,
-    is_spanning_tree,
+    mask_is_plane,
     tree_colors,
 )
 from .book import interleaving_crossings
@@ -369,8 +369,8 @@ class SweepViolation(Exception):
 
 
 def _assert_plane(ctx: _Context, state: SweepState, added: Edge) -> None:
-    h_and_cycles = frozenset(state.H) | ctx.cycle_edges
-    plane = is_plane(ctx.drawing, h_and_cycles)
+    d = ctx.drawing
+    plane = mask_is_plane(edge_mask(d.n, state.H | ctx.cycle_edges), d.conflicts)
     ctx.record("planarity-with-cycles", plane)
     if not plane:
         raise SweepViolation("planarity-with-cycles", f"after adding {added}")
@@ -454,25 +454,14 @@ def _sweep_result(state: SweepState, d: Drawing) -> SolveReport:
                 "trace": ctx.trace,
             },
         )
-    plane = is_plane(d, tree)
-    spanning = is_spanning_tree(d.n, tree)
-    mono = tree_colors(layout.color, tree) == {keep_color}
-    ctx.record("output-plane", plane)
-    ctx.record("output-spanning-tree", spanning)
-    ctx.record("output-monochromatic", mono)
-    status = STATUS_TREE_FOUND if plane and spanning and mono else STATUS_COUNTEREXAMPLE
-    return SolveReport(
-        status=status,
-        tree=tree,
-        avoided_colors=frozenset({covered_color}),
-        checked_invariants=tuple(ctx.invariants.items()),
-        witness={
-            "tree_color": keep_color,
-            "rounds": state.round_no,
-            "backbone": list(state.backbone),
-            "active_subgraph": sorted(state.H),
-        },
-    )
+    witness = {
+        "tree_color": keep_color,
+        "rounds": state.round_no,
+        "backbone": list(state.backbone),
+        "active_subgraph": sorted(state.H),
+    }
+    checked = tuple(ctx.invariants.items())
+    return certify(d, layout.color, tree, checked, color=keep_color, witness=witness, failure=witness)
 
 
 def sweep_run(
@@ -593,7 +582,9 @@ def reduce_and_solve(
         report = solve_book(_as_book_layout(layout))
         if report.status != STATUS_TREE_FOUND:
             return report
-        return _finish(d, layout, report.tree, report.checked_invariants, branch="book")
+        witness = {"branch": "book", "removed_vertices": []}
+        checked = report.checked_invariants
+        return certify(d, layout.color, report.tree, checked, witness=witness, failure=witness)
 
     alive_inner = layout.inner_ids()
     alive_outer = layout.outer_ids()
@@ -696,47 +687,8 @@ def reduce_and_solve(
                 witness={"reason": "re-attachment impossible", "vertex": v},
             )
         tree.add(attach)
-    return _finish(
-        d, layout, frozenset(tree), tuple(checked), branch=branch, removed=removed_ids
-    )
-
-
-def _finish(
-    d: Drawing,
-    layout: CylindricalLayout,
-    tree: Optional[EdgeSet],
-    checked: tuple[tuple[str, bool], ...],
-    branch: str = "direct",
-    removed: Optional[list[int]] = None,
-) -> SolveReport:
-    assert tree is not None
-    plane = is_plane(d, tree)
-    spanning = is_spanning_tree(d.n, tree)
-    cols = tree_colors(layout.color, tree)
-    mono = len(cols) == 1
-    final = tuple(checked) + (
-        ("output-plane", plane),
-        ("output-spanning-tree", spanning),
-        ("output-monochromatic", mono),
-    )
-    witness = {"branch": branch, "removed_vertices": removed or []}
-    if not (plane and spanning and mono):
-        witness["reason"] = "output predicates failed"
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            tree=tree,
-            checked_invariants=final,
-            witness=witness,
-        )
-    c = cols.pop()
-    witness["tree_color"] = c
-    return SolveReport(
-        status=STATUS_TREE_FOUND,
-        tree=tree,
-        avoided_colors=frozenset({1 - c}),
-        checked_invariants=final,
-        witness=witness,
-    )
+    witness = {"branch": branch, "removed_vertices": removed_ids}
+    return certify(d, layout.color, frozenset(tree), checked, witness=witness, failure=witness)
 
 
 def solve_cylindrical(

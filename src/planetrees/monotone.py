@@ -26,12 +26,11 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
+    certify,
     edge,
     edge_index,
     edge_table,
     induced_subdrawing,
-    is_plane,
-    is_spanning_tree,
     merge_colors,
     tree_colors,
 )
@@ -179,11 +178,6 @@ def solve_monotone(
         group_trees.append(sorted(mapped))
         union |= mapped
 
-    tree = frozenset(union)
-    plane = is_plane(dr.drawing, tree)
-    spanning = is_spanning_tree(n, tree)
-    used = tree_colors(c, tree)
-    avoids = removed not in used
     slab_ok = True
     if dr.provenance == PROVENANCE_POINTS:
         # Edges of distinct groups never cross: x-slab disjointness.
@@ -194,28 +188,17 @@ def solve_monotone(
         for e, f in dr.drawing.crossings:
             if e in owner and f in owner and owner[e] != owner[f]:
                 slab_ok = False
-    checked = (
-        ("output-plane", plane),
-        ("output-spanning-tree", spanning),
-        ("avoids-removed-color", avoids),
-        ("slab-disjointness", slab_ok),
-    )
-    if not (plane and spanning and avoids and slab_ok):
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            tree=tree,
-            checked_invariants=checked,
-            witness={"reason": "union predicates failed", "removed_color": removed},
-        )
-    return SolveReport(
-        status=STATUS_TREE_FOUND,
-        tree=tree,
-        avoided_colors=frozenset(range(c.k)) - used,
-        checked_invariants=checked,
+    return certify(
+        dr.drawing,
+        c,
+        frozenset(union),
+        avoid=removed,
+        extra=(("slab-disjointness", slab_ok),),
         witness={
             "removed_color": removed,
             "kept_colors": sorted(keep),
             "groups": [list(gv) for gv in group_vertices],
             "group_trees": [[list(e) for e in t] for t in group_trees],
         },
+        failure={"reason": "union predicates failed", "removed_color": removed},
     )

@@ -15,7 +15,9 @@ order).  On top of the enumeration sit three users:
   monochromatic plane spanning tree.
 
 Trees and color classes are bitmasks over the edge ranks of K_n, and
-the planarity test is a precomputed conflict table.  The verifier is
+a tree is plane when none of its edges' rows in the drawing's conflict
+index (``Drawing.conflicts``, one crossing bitmask per edge rank,
+built once per drawing) meets the tree's own mask.  The verifier is
 bit-sliced (Biham, FSE 1997): coloring index bit i-1 is the color of
 edge i, so across a block of 2^B consecutive indices edges 1..B vary
 and each has a periodic bit-plane, one 2^B-bit integer holding its
@@ -45,8 +47,9 @@ from .core import (
     STATUS_TREE_FOUND,
     color_class_components,
     edge,
-    edge_index,
+    edge_mask,
     edge_table,
+    mask_is_plane,
 )
 
 ENUMERATION_LIMIT = 10
@@ -113,13 +116,7 @@ def enumerate_spanning_trees(n: int, allow_large: bool = False) -> Iterator[Edge
 @functools.lru_cache(maxsize=8)
 def _tree_masks(n: int) -> tuple[int, ...]:
     """All spanning trees of K_n as edge-rank bitmasks (n <= 7 only)."""
-    masks = []
-    for tree in enumerate_spanning_trees(n):
-        m = 0
-        for e in tree:
-            m |= 1 << edge_index(n, e)
-        masks.append(m)
-    return tuple(masks)
+    return tuple(edge_mask(n, tree) for tree in enumerate_spanning_trees(n))
 
 
 def _mask_to_edges(n: int, mask: int) -> EdgeSet:
@@ -127,37 +124,10 @@ def _mask_to_edges(n: int, mask: int) -> EdgeSet:
     return frozenset(e for i, e in enumerate(ranked) if mask >> i & 1)
 
 
-def _conflict_masks(d: Drawing) -> list[int]:
-    """conflict[i] = bitmask of edges crossing the edge of rank i."""
-    m = d.n * (d.n - 1) // 2
-    conflict = [0] * m
-    for e, f in d.crossings:
-        ie, jf = edge_index(d.n, e), edge_index(d.n, f)
-        conflict[ie] |= 1 << jf
-        conflict[jf] |= 1 << ie
-    return conflict
-
-
-def _mask_is_plane(mask: int, conflict: list[int]) -> bool:
-    rest = mask
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        if conflict[i] & mask:
-            return False
-        rest ^= low
-    return True
-
-
 def _iter_tree_masks(n: int, allow_large: bool) -> Iterator[int]:
     if n <= 7:
-        yield from _tree_masks(n)
-        return
-    for tree in enumerate_spanning_trees(n, allow_large=allow_large):
-        m = 0
-        for e in tree:
-            m |= 1 << edge_index(n, e)
-        yield m
+        return iter(_tree_masks(n))
+    return (edge_mask(n, tree) for tree in enumerate_spanning_trees(n, allow_large=allow_large))
 
 
 def find_plane_tree(
@@ -182,11 +152,10 @@ def find_plane_tree(
     if color is not None and not 0 <= color < c.k:
         raise ValueError(f"color {color} out of range 0..{c.k - 1}")
     n = d.n
-    conflict = _conflict_masks(d)
+    conflicts = d.conflicts
     class_masks = [0] * c.k
     for i, col in enumerate(c.colors):
         class_masks[col] |= 1 << i
-    full = (1 << (n * (n - 1) // 2)) - 1
 
     def satisfies(mask: int) -> Optional[frozenset[int]]:
         # Returns the avoided color set on success, None otherwise.
@@ -212,7 +181,7 @@ def find_plane_tree(
         avoided = satisfies(mask)
         if avoided is None:
             continue
-        if _mask_is_plane(mask, conflict):
+        if mask_is_plane(mask, conflicts):
             tree = _mask_to_edges(n, mask)
             return SolveReport(
                 status=STATUS_TREE_FOUND,
@@ -278,8 +247,8 @@ class VerifyReport:
 
 
 def _plane_tree_mask_list(d: Drawing) -> list[int]:
-    conflict = _conflict_masks(d)
-    return [m for m in _iter_tree_masks(d.n, allow_large=True) if _mask_is_plane(m, conflict)]
+    conflicts = d.conflicts
+    return [m for m in _iter_tree_masks(d.n, allow_large=True) if mask_is_plane(m, conflicts)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -348,14 +317,6 @@ def _verify_range(plane_masks: list[int], start: int, stop: int, block_bits: int
     return stop - start, failures
 
 
-def _coloring_from_index(n: int, idx: int) -> EdgeColoring:
-    m = n * (n - 1) // 2
-    colors = [0] * m
-    for i in range(1, m):
-        colors[i] = idx >> (i - 1) & 1
-    return EdgeColoring(n, 2, tuple(colors))
-
-
 def long_run_enabled() -> bool:
     return os.environ.get(LONG_RUN_ENV, "").strip() not in ("", "0", "false")
 
@@ -376,6 +337,8 @@ def _check_desk_scale(n: int, long_run: bool) -> None:
 
 def _coloring_blocks(n: int) -> tuple[int, int]:
     """Colorings of a drawing of K_n, and the bits of the blocks covering them."""
+    if n < 2:
+        raise ValueError(f"verification needs n >= 2, got n={n}")
     m = n * (n - 1) // 2
     return 1 << (m - 1), min(BLOCK_BITS, m - 1)
 
@@ -409,8 +372,10 @@ def _verify(d: Drawing, pool, workers: int) -> VerifyReport:
         )
         checked = sum(part_checked for part_checked, _ in parts)
         failing = [idx for _, part_failing in parts for idx in part_failing]
+    # Edge i has bit i of twice the index: color 0 for edge 0, index bit i-1 after it.
+    table = edge_table(d.n)
     failures = tuple(
-        {"coloring_index": idx, "coloring": _coloring_from_index(d.n, idx).as_map()}
+        {"coloring_index": idx, "coloring": {e: idx << 1 >> i & 1 for i, e in enumerate(table)}}
         for idx in failing
     )
     return VerifyReport(

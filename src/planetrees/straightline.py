@@ -33,11 +33,13 @@ from .core import (
     EdgeSet,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
-    STATUS_TREE_FOUND,
+    certify,
     edge,
-    is_plane,
-    is_spanning_tree,
-    tree_colors,
+    edge_index,
+    edge_mask,
+    induced_mask,
+    mask_is_plane,
+    peel_candidate,
 )
 
 Coord = Union[int, Fraction]
@@ -186,11 +188,7 @@ class _Solver:
         self.points = points
         self.d = d
         self.color = color
-        self.partners = d.crossing_partners()
         self.memo: dict[frozenset[int], tuple[EdgeSet, Optional[int]]] = {}
-
-    def uncrossed_in(self, e: Edge, alive: frozenset[int]) -> bool:
-        return all(not set(f) <= alive for f in self.partners.get(e, ()))
 
     def solve(self, subset: frozenset[int]) -> tuple[EdgeSet, Optional[int]]:
         """Monochromatic plane spanning tree of the induced subdrawing.
@@ -201,9 +199,7 @@ class _Solver:
         if subset in self.memo:
             return self.memo[subset]
         result = self._solve_uncached(subset)
-        tree, col = result
-        sub_edges = frozenset(tree)
-        if not is_plane(self.d, sub_edges):
+        if not mask_is_plane(edge_mask(self.d.n, result[0]), self.d.conflicts):
             raise ProofContradiction(f"tree on subset {sorted(subset)} is not plane")
         self.memo[subset] = result
         return result
@@ -218,33 +214,26 @@ class _Solver:
             return frozenset({e}), self.color.color_of_edge(e)
 
         # Peel a vertex with uncrossed edges of both colors.
-        for v in sorted(subset):
-            byc: dict[int, Edge] = {}
-            for w in sorted(subset):
-                if w == v:
-                    continue
-                e = edge(v, w)
-                if self.uncrossed_in(e, subset):
-                    c = self.color.color_of_edge(e)
-                    if c not in byc or self._nearer_x(v, e, byc[c]):
-                        byc[c] = e
-            if len(byc) == 2:
-                rest = subset - {v}
-                tree, col = self.solve(rest)
-                if col is None:
-                    col = min(byc)
-                attach = byc.get(col)
-                if attach is None:
-                    raise ProofContradiction(f"no uncrossed edge of color {col} at vertex {v}")
-                return frozenset(tree | {attach}), col
+        x = self.points
+        peeled = peel_candidate(self.d, self.color, sorted(subset), lambda v, w: abs(x[w][0] - x[v][0]))
+        if peeled is not None:
+            v, byc = peeled
+            tree, col = self.solve(subset - {v})
+            if col is None:
+                col = min(byc)
+            attach = byc.get(col)
+            if attach is None:
+                raise ProofContradiction(f"no uncrossed edge of color {col} at vertex {v}")
+            return frozenset(tree | {attach}), col
 
         # No such vertex: the hull cycle must be monochromatic.
         hull = convex_hull(self.points, sorted(subset))
         hull_edges = [edge(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
         if len(hull) == 2:
             hull_edges = hull_edges[:1]
+        alive = induced_mask(self.d.n, subset)
         for e in hull_edges:
-            if not self.uncrossed_in(e, subset):
+            if self.d.conflicts[edge_index(self.d.n, e)] & alive:
                 raise ProofContradiction(f"hull edge {e} is crossed within the subset")
         hull_colors = {self.color.color_of_edge(e) for e in hull_edges}
         if len(hull_colors) != 1:
@@ -308,13 +297,6 @@ class _Solver:
                         return e
         return None
 
-    def _nearer_x(self, v: int, e: Edge, old: Edge) -> bool:
-        def key(x: Edge) -> tuple:
-            w = x[0] if x[1] == v else x[1]
-            return (abs(self.points[w][0] - self.points[v][0]), w)
-
-        return key(e) < key(old)
-
 
 def solve_points(p: PointDrawing, coloring: Optional[EdgeColoring] = None) -> SolveReport:
     """Monochromatic plane spanning tree of a 2-colored point drawing."""
@@ -325,30 +307,11 @@ def solve_points(p: PointDrawing, coloring: Optional[EdgeColoring] = None) -> So
         raise ValueError("coloring size does not match point count")
     d = compile_points(p)
     solver = _Solver(p.points, d, color)
-    checked: list[tuple[str, bool]] = []
     try:
-        tree, col = solver.solve(frozenset(range(p.n)))
+        tree, _ = solver.solve(frozenset(range(p.n)))
     except ProofContradiction as exc:
         return SolveReport(
             status=STATUS_COUNTEREXAMPLE,
             witness={"reason": str(exc), "n": p.n},
         )
-    plane = is_plane(d, tree)
-    spanning = is_spanning_tree(p.n, tree)
-    mono = len(tree_colors(color, tree)) == 1
-    checked += [("output-plane", plane), ("output-spanning-tree", spanning), ("output-monochromatic", mono)]
-    if not (plane and spanning and mono):
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            tree=tree,
-            checked_invariants=tuple(checked),
-            witness={"reason": "output predicates failed"},
-        )
-    assert col is not None
-    return SolveReport(
-        status=STATUS_TREE_FOUND,
-        tree=tree,
-        avoided_colors=frozenset({1 - col}),
-        checked_invariants=tuple(checked),
-        witness={"tree_color": col},
-    )
+    return certify(d, color, tree)

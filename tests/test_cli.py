@@ -297,6 +297,32 @@ def test_invalid_trusted_drawing_is_not_rendered(capsys, tmp_path):
     assert err.startswith("error: invalid drawing: adjacent edges cross: 0-1 and 0-2")
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("one.drawing", "drawing n=1\ncrossings:\n"),
+        ("one.classes", "4;0-2 1-3\n1;\n"),
+        ("zero.classes", "0;\n"),
+    ],
+    ids=["drawing", "class-record", "class-record-0"],
+)
+def test_verify_needs_two_vertices(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: verification needs n >= 2")
+
+
+def test_verify_all_colorings_needs_two_vertices():
+    from planetrees.core import Drawing
+    from planetrees.search import verify_all_colorings
+
+    with pytest.raises(ValueError, match="verification needs n >= 2, got n=1"):
+        verify_all_colorings(Drawing(1, frozenset()))
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_bad_jobs_flag_is_input_error(capsys, value):
     with pytest.raises(SystemExit) as info:

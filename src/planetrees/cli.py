@@ -19,7 +19,6 @@ from . import formats
 from .book import compile_book, solve_book
 from .core import (
     Drawing,
-    EdgeColoring,
     SolveReport,
     STATUS_TREE_FOUND,
     edge,
@@ -82,21 +81,29 @@ def _report_exit(rep: SolveReport) -> int:
     return EXIT_OK if rep.status == STATUS_TREE_FOUND else EXIT_COUNTEREXAMPLE
 
 
-def _load_coloring_override(obj, colors_path: Optional[str]):
-    if colors_path is None:
-        return obj
-    coloring = formats.parse_coloring(_read(colors_path))
-    if coloring.n != obj.n:
-        raise ValueError(
-            f"coloring file has n={coloring.n}, instance has n={obj.n}"
-        )
-    return dataclasses.replace(obj, color=coloring)
+def _load(text: str, reader: str, kinds=formats.DRAWING_KINDS, colors: Optional[str] = None) -> formats.Instance:
+    """The instance in ``text``; a ``--colors`` file replaces its colouring."""
+    inst = formats.load_instance(text, kinds, reader)
+    if colors is None:
+        return inst
+    coloring = formats.parse_coloring(_read(colors))
+    if coloring.n != inst.n:
+        raise ValueError(f"coloring file has n={coloring.n}, instance has n={inst.n}")
+    value = inst.value if inst.kind == "drawing" else dataclasses.replace(inst.value, color=coloring)
+    return dataclasses.replace(inst, value=value, coloring=coloring)
+
+
+def _checked(d: Drawing) -> Drawing:
+    """``d``, refused when it breaks the structural axioms."""
+    violations = validate_drawing(d)
+    if violations:
+        raise ValueError(f"invalid drawing: {'; '.join(violations)}")
+    return d
 
 
 def cmd_validate(args) -> int:
     text = _read(args.file)
-    kind = formats.detect_kind(text)
-    if kind == "class":
+    if formats.detect_kind(text) == "class":
         drawings = formats.parse_class_file(args.file)
         bad = 0
         for i, d in enumerate(drawings):
@@ -107,21 +114,14 @@ def cmd_validate(args) -> int:
         _emit("records", len(drawings))
         _emit("status", "ok" if bad == 0 else f"{bad} invalid records")
         return EXIT_OK if bad == 0 else EXIT_INPUT_ERROR
-    parsed = formats.parse_any(text)
-    if kind == "drawing":
-        d = parsed[0]
-    elif kind == "coloring":
+    inst = _load(text, "validate", tuple(formats.KINDS))
+    if inst.kind == "coloring":
         _emit("kind", "coloring")
         _emit("status", "ok")
         return EXIT_OK
-    elif kind == "cylindrical":
-        d = compile_layout(parsed)
-    elif kind == "book":
-        d = compile_book(parsed)
-    else:
-        d = compile_points(parsed)
+    d = inst.drawing()
     violations = validate_drawing(d)
-    _emit("kind", kind)
+    _emit("kind", inst.kind)
     _emit("n", d.n)
     _emit("crossings", len(d.crossings))
     for v in violations:
@@ -130,81 +130,42 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INPUT_ERROR
 
 
+# Solver class -> the file kinds it reads; a layout solver compiles its layout itself.
+SOLVE_KINDS = {"cylindrical": ("cylindrical",), "book": ("book",),
+               "pseudolinear": ("points",), "monotone": ("points", "drawing")}
+
+
 def cmd_solve(args) -> int:
-    text = _read(args.file)
-    kind = formats.detect_kind(text)
-    if args.solver_class == "cylindrical":
-        if kind != "cylindrical":
-            raise ValueError(f"solver class cylindrical needs a cylindrical file, got {kind}")
-        layout = _load_coloring_override(formats.parse_cylindrical(text), args.colors)
-        rep = solve_cylindrical(layout, assert_invariants=args.assert_invariants)
-    elif args.solver_class == "book":
-        if kind != "book":
-            raise ValueError(f"solver class book needs a book file, got {kind}")
-        layout = _load_coloring_override(formats.parse_book(text), args.colors)
-        rep = solve_book(layout)
-    elif args.solver_class == "pseudolinear":
-        if kind != "points":
-            raise ValueError(f"solver class pseudolinear needs a points file, got {kind}")
-        pts = _load_coloring_override(formats.parse_points(text), args.colors)
-        rep = solve_points(pts)
+    cls = args.solver_class
+    inst = _load(_read(args.file), f"solver class {cls}", SOLVE_KINDS[cls], args.colors)
+    if cls == "cylindrical":
+        rep = solve_cylindrical(inst.value, assert_invariants=args.assert_invariants)
+    elif cls == "book":
+        rep = solve_book(inst.value)
+    elif cls == "pseudolinear":
+        rep = solve_points(inst.value)
     else:  # monotone
-        if kind == "points":
-            pts = _load_coloring_override(formats.parse_points(text), args.colors)
-            dr = MonotoneDrawing.from_points(pts)
-            coloring = pts.color
-        elif kind == "drawing":
-            d, coloring, x_order = _parse_valid_drawing(text)
-            if x_order is None:
-                raise ValueError("monotone solver needs an xorder line in drawing files")
-            if args.colors is not None:
-                coloring = formats.parse_coloring(_read(args.colors))
-            if coloring is None:
-                raise ValueError("monotone solver needs a coloring (embedded or --colors)")
-            dr = MonotoneDrawing(d, x_order)
+        if inst.kind == "points":
+            dr = MonotoneDrawing.from_points(inst.value)
         else:
-            raise ValueError(f"solver class monotone needs a points or drawing file, got {kind}")
-        rep = solve_monotone(dr, coloring, d=args.group_span)
-    _emit("class", args.solver_class)
+            d = _checked(inst.drawing())
+            if inst.x_order is None:
+                raise ValueError("monotone solver needs an xorder line in drawing files")
+            if inst.coloring is None:
+                raise ValueError("monotone solver needs a coloring (embedded or --colors)")
+            dr = MonotoneDrawing(d, inst.x_order)
+        rep = solve_monotone(dr, inst.coloring, d=args.group_span)
+    _emit("class", cls)
     _emit_report(rep)
     return _report_exit(rep)
 
 
-def _parse_valid_drawing(text: str):
-    """parse_drawing, refusing drawings that break the structural axioms."""
-    parsed = formats.parse_drawing(text)
-    violations = validate_drawing(parsed[0])
-    if violations:
-        raise ValueError(f"invalid drawing: {'; '.join(violations)}")
-    return parsed
-
-
-def _compile_any(text: str):
-    """Instance file -> (Drawing, EdgeColoring or None)."""
-    kind = formats.detect_kind(text)
-    if kind == "drawing":
-        d, coloring, _ = _parse_valid_drawing(text)
-        return d, coloring
-    if kind == "cylindrical":
-        layout = formats.parse_cylindrical(text)
-        return compile_layout(layout), layout.color
-    if kind == "book":
-        layout = formats.parse_book(text)
-        return compile_book(layout), layout.color
-    if kind == "points":
-        pts = formats.parse_points(text)
-        return compile_points(pts), pts.color
-    raise ValueError(f"cannot treat a {kind} file as a drawing instance")
-
-
 def cmd_brute(args) -> int:
-    d, coloring = _compile_any(_read(args.file))
-    if args.colors is not None:
-        coloring = formats.parse_coloring(_read(args.colors))
+    inst = _load(_read(args.file), "brute", colors=args.colors)
+    d = _checked(inst.drawing())
+    coloring = inst.coloring
     if coloring is None:
         raise ValueError("no coloring: embed a colors section or pass --colors")
-    if coloring.n != d.n:
-        raise ValueError(f"coloring n={coloring.n} does not match drawing n={d.n}")
     mode = args.mode
     if mode == "mono":
         rep = find_plane_tree(d, coloring, mode="monochromatic", allow_large=args.allow_large)
@@ -263,7 +224,7 @@ def cmd_verify(args) -> int:
                 _emit(f"failing-record-{rec_no}", fail["coloring"])
             _emit("status", "verified" if report.passed else "counterexample")
             return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
-        d, _ = _compile_any(text)
+        d = _checked(_load(text, "verify").drawing())
     return _emit_verify(verify_all_colorings(d, long_run=long_run, jobs=jobs))
 
 
@@ -321,18 +282,10 @@ def _parse_tree_file(text: str, n: int):
 
 
 def cmd_render(args) -> int:
-    text = _read(args.file)
-    kind = formats.detect_kind(text)
-    if kind == "drawing":
-        obj = _parse_valid_drawing(text)[0]
-    elif kind in ("cylindrical", "book", "points"):
-        obj = formats.parse_any(text)
-    else:
-        raise ValueError(f"cannot render {kind} files")
-    tree = None
-    if args.tree:
-        tree = _parse_tree_file(_read(args.tree), obj.n)
-    svg = render_svg(obj, tree)
+    inst = _load(_read(args.file), "render")
+    _checked(inst.drawing())
+    tree = _parse_tree_file(_read(args.tree), inst.n) if args.tree else None
+    svg = render_svg(inst.value, tree)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(svg)
     _emit("written", args.output)

@@ -133,31 +133,6 @@ class CylindricalLayout:
     def is_side_edge(self, e: Edge) -> bool:
         return (e[0] < self.n_inner) != (e[1] < self.n_inner)
 
-    def winding_of(self, e: Edge) -> Fraction:
-        u, w = e
-        return self.windings[u][w - self.n_inner]
-
-    def side_start(self, e: Edge) -> Fraction:
-        return self.inner_angles[e[0]]
-
-
-def _integers_strictly_between(x: Fraction, y: Fraction) -> int:
-    lo, hi = (x, y) if x <= y else (y, x)
-    return max(0, math.ceil(hi) - math.floor(lo) - 1)
-
-
-def side_crossing_count(layout: CylindricalLayout, e: Edge, f: Edge) -> int:
-    """Number of interior meetings of two side-edge spirals.
-
-    The per-pair rational form of the count; compile_layout evaluates
-    the same formula in integer ticks over a common denominator.
-    """
-    a0 = layout.side_start(e) - layout.side_start(f)
-    a1 = (layout.side_start(e) + layout.winding_of(e)) - (
-        layout.side_start(f) + layout.winding_of(f)
-    )
-    return _integers_strictly_between(a0 / TURN, a1 / TURN)
-
 
 def compile_layout(layout: CylindricalLayout) -> Drawing:
     """Crossing set and rotation system of an annulus layout.

@@ -35,17 +35,23 @@ Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
     colors: k=<k>       (required)
 
 Class files are one drawing per line, ``n;<crossing pairs comma-separated>``.
+
+``load_instance(text)`` reads every other file: the header picks its
+row of the ``KINDS`` table (parser, compiler) before the body is parsed.
+It returns a frozen ``Instance`` (kind, value, colouring, x-order) whose
+``drawing()`` compiles a layout or returns a drawing file's own drawing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Any, Optional, Sequence, Union
 
-from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout
+from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
 from .core import Drawing, Edge, EdgeColoring, all_edges, crossing_pair, edge
-from .cylindrical import CylindricalLayout
-from .straightline import PointDrawing
+from .cylindrical import CylindricalLayout, compile_layout
+from .straightline import PointDrawing, compile_points
 
 
 class ParseError(ValueError):
@@ -81,6 +87,11 @@ class _Lines:
     @property
     def exhausted(self) -> bool:
         return self.pos >= len(self.items)
+
+    def finish(self) -> None:
+        if not self.exhausted:
+            line_no, line = self.next()
+            raise ParseError(line_no, f"unexpected trailing line {line!r}")
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
@@ -289,9 +300,7 @@ def parse_coloring(text: str) -> EdgeColoring:
     line_no, line = lines.next()
     n, k = _parse_header_fields(line_no, line, "coloring", ["n", "k"])
     coloring = _parse_color_lines(lines, n, k)
-    if not lines.exhausted:
-        line_no, line = lines.next()
-        raise ParseError(line_no, f"unexpected trailing line {line!r}")
+    lines.finish()
     return coloring
 
 
@@ -364,9 +373,7 @@ def parse_cylindrical(text: str) -> CylindricalLayout:
             raise ParseError(ln, f"duplicate winding for {u} {w}")
         windings[(u, w)] = parse_fraction(ln, rest.strip())
     color = _parse_colors_section(lines, n)
-    if not lines.exhausted:
-        ln, lv = lines.next()
-        raise ParseError(ln, f"unexpected trailing line {lv!r}")
+    lines.finish()
     wind = tuple(tuple(windings[(i, p + j)] for j in range(q)) for i in range(p))
     return CylindricalLayout(inner, outer, wind, color)
 
@@ -413,9 +420,7 @@ def parse_book(text: str) -> BookLayout:
     if missing:
         raise ParseError(ln, f"edge {missing[0][0]}-{missing[0][1]} has no page")
     color = _parse_colors_section(lines, n)
-    if not lines.exhausted:
-        ln, lv = lines.next()
-        raise ParseError(ln, f"unexpected trailing line {lv!r}")
+    lines.finish()
     return BookLayout.from_maps(spine, pages, color)
 
 
@@ -462,14 +467,12 @@ def parse_points(text: str) -> PointDrawing:
             raise ParseError(ln, f"duplicate point for vertex {v}")
         pts[v] = (_parse_coord(ln, parts[2]), _parse_coord(ln, parts[3]))
     color = _parse_colors_section(lines, n)
-    if not lines.exhausted:
-        ln, lv = lines.next()
-        raise ParseError(ln, f"unexpected trailing line {lv!r}")
+    lines.finish()
     return PointDrawing(tuple(pts[v] for v in range(n)), color)
 
 
 # ---------------------------------------------------------------------------
-# Class files and auto-detection
+# Class files and the instance loader
 # ---------------------------------------------------------------------------
 
 
@@ -511,12 +514,21 @@ def parse_class_file(path: str) -> list[Drawing]:
     return drawings
 
 
-KINDS = ("drawing", "coloring", "cylindrical", "book", "points")
+# kind -> (parser, compiler).  A drawing file needs no compiler and a
+# coloring file holds no drawing.
+KINDS = {
+    "drawing": (parse_drawing, None),
+    "coloring": (parse_coloring, None),
+    "cylindrical": (parse_cylindrical, compile_layout),
+    "book": (parse_book, compile_book),
+    "points": (parse_points, compile_points),
+}
+DRAWING_KINDS = ("drawing", "cylindrical", "book", "points")
 
 
 def detect_kind(text: str) -> str:
     """File kind from the header token; class files have ';' records."""
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -525,20 +537,39 @@ def detect_kind(text: str) -> str:
             return head
         if ";" in line and line.split(";")[0].strip().isdigit():
             return "class"
-        break
-    raise ParseError(1, f"unrecognized file header {text.splitlines()[0][:40]!r}" if text else "empty file")
+        raise ParseError(line_no, f"unrecognized file header {line[:40]!r}")
+    raise ParseError(1, "empty file")
 
 
-def parse_any(text: str):
+@dataclass(frozen=True)
+class Instance:
+    """A parsed file: its kind, the value it holds, its colouring and a drawing's x-order."""
+
+    kind: str
+    value: Any
+    coloring: Optional[EdgeColoring]
+    x_order: Optional[tuple[int, ...]] = None
+
+    @property
+    def n(self) -> int:
+        return self.value.n
+
+    def drawing(self) -> Drawing:
+        """The file's drawing; a layout is compiled on every call."""
+        if self.kind == "drawing":
+            return self.value
+        compile_ = KINDS[self.kind][1]
+        if compile_ is None:
+            raise ValueError(f"a {self.kind} file holds no drawing")
+        return compile_(self.value)
+
+
+def load_instance(text: str, kinds: Sequence[str] = tuple(KINDS), reader: str = "a single instance") -> Instance:
+    """Parse a file of one of ``kinds``; the header refuses any other kind before parsing."""
     kind = detect_kind(text)
+    if kind not in kinds:
+        raise ValueError(f"{reader} needs a {' or '.join(kinds)} file, got {kind}")
+    value = KINDS[kind][0](text)
     if kind == "drawing":
-        return parse_drawing(text)
-    if kind == "coloring":
-        return parse_coloring(text)
-    if kind == "cylindrical":
-        return parse_cylindrical(text)
-    if kind == "book":
-        return parse_book(text)
-    if kind == "points":
-        return parse_points(text)
-    raise ParseError(1, f"cannot parse {kind} files as a single instance")
+        return Instance(kind, *value)
+    return Instance(kind, value, value if kind == "coloring" else value.color)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from planetrees.core import Drawing, EdgeColoring, all_edges, edge
-from planetrees.cylindrical import CylindricalLayout
+from planetrees.cylindrical import TURN, CylindricalLayout
 
 
 def one_crossing_k4() -> Drawing:
@@ -52,3 +53,31 @@ def fan_layout(p: int, q: int, color: EdgeColoring) -> CylindricalLayout:
         tuple((outer[j] - inner[i]) % 2 for j in range(q)) for i in range(p)
     )
     return CylindricalLayout(inner, outer, windings, color)
+
+
+def winding_of(layout: CylindricalLayout, e) -> Fraction:
+    u, w = e
+    return layout.windings[u][w - layout.n_inner]
+
+
+def side_start(layout: CylindricalLayout, e) -> Fraction:
+    return layout.inner_angles[e[0]]
+
+
+def _integers_strictly_between(x: Fraction, y: Fraction) -> int:
+    lo, hi = (x, y) if x <= y else (y, x)
+    return max(0, math.ceil(hi) - math.floor(lo) - 1)
+
+
+def side_crossing_count(layout: CylindricalLayout, e, f) -> int:
+    """Number of interior meetings of two side-edge spirals.
+
+    The per-pair rational reference for the count; compile_layout
+    evaluates the same formula in integer ticks over a common
+    denominator.
+    """
+    a0 = side_start(layout, e) - side_start(layout, f)
+    a1 = (side_start(layout, e) + winding_of(layout, e)) - (
+        side_start(layout, f) + winding_of(layout, f)
+    )
+    return _integers_strictly_between(a0 / TURN, a1 / TURN)

@@ -297,6 +297,61 @@ def test_invalid_trusted_drawing_is_not_rendered(capsys, tmp_path):
     assert err.startswith("error: invalid drawing: adjacent edges cross: 0-1 and 0-2")
 
 
+# Layouts that parse but do not compile: side edges 0-2 and 1-2 of the
+# annulus meet twice, and the three points are collinear.
+DOUBLE_MEETING_ANNULUS = """cylindrical n_inner=2 n_outer=2
+inner:
+0: 0/1
+1: 1/1
+outer:
+2: 0/1
+3: 1/1
+windings:
+0 2: 0/1
+0 3: 1/1
+1 2: 5/1
+1 3: 0/1
+colors: k=2
+e 0 1 : 0
+e 0 2 : 1
+e 0 3 : 0
+e 1 2 : 1
+e 1 3 : 0
+e 2 3 : 1
+"""
+
+COLLINEAR_POINTS = """points n=3
+p 0: 0 0
+p 1: 1 1
+p 2: 2 2
+colors: k=2
+e 0 1 : 0
+e 0 2 : 0
+e 1 2 : 1
+"""
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("double.cyl", DOUBLE_MEETING_ANNULUS, "adjacent side edges (0, 2) and (1, 2) meet 2 time(s)"),
+        ("collinear.pts", COLLINEAR_POINTS, "collinear points 0, 1, 2"),
+    ],
+    ids=["annulus", "points"],
+)
+def test_uncompilable_layout_is_not_rendered(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 1 and err == f"error: {message}\n"
+    svg = tmp_path / "bad.svg"
+    code, out, err = run(capsys, "render", str(path), "-o", str(svg))
+    assert code == 1
+    assert out == ""
+    assert not svg.exists()
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "name,text",
     [

@@ -20,10 +20,11 @@ from planetrees.cylindrical import (
     CylindricalLayout,
     NotSimpleError,
     compile_layout,
-    side_crossing_count,
 )
 from planetrees.generators import gen_book, gen_coloring, gen_cylindrical, gen_points
 from planetrees.straightline import PointDrawing, check_general_position, compile_points, orient
+
+from conftest import side_crossing_count
 
 # ----------------------------------------------------------------------
 # pairwise reference compilers

@@ -23,7 +23,6 @@ from planetrees.cylindrical import (
     first_side_edge,
     restrict_layout,
     rotation_order_check,
-    side_crossing_count,
     solve_cylindrical,
     sweep_start,
     sweep_round,
@@ -32,7 +31,7 @@ from planetrees.cylindrical import (
 from planetrees.generators import gen_coloring, gen_cylindrical
 from planetrees.search import enumerate_spanning_trees, find_plane_tree
 
-from conftest import coloring_from, fan_layout, uniform_coloring
+from conftest import coloring_from, fan_layout, side_crossing_count, uniform_coloring
 
 F = Fraction
 

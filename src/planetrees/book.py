@@ -129,7 +129,7 @@ def compile_book(layout: BookLayout) -> Drawing:
     return Drawing(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
 
 
-def solve_book(layout: BookLayout, coloring: Optional[EdgeColoring] = None) -> SolveReport:
+def solve_book(layout: BookLayout) -> SolveReport:
     """Monochromatic plane spanning tree of a 2-colored book drawing.
 
     Peels vertices incident to uncrossed edges of both colors (lowest
@@ -137,11 +137,9 @@ def solve_book(layout: BookLayout, coloring: Optional[EdgeColoring] = None) -> S
     and monochromatic, then re-attaches the peeled vertices in inverse
     order by an uncrossed edge matching the tree's color.
     """
-    color = coloring if coloring is not None else layout.color
+    color = layout.color
     if color.k != 2:
         raise ValueError(f"book solver handles exactly 2 colors, got k={color.k}")
-    if color.n != layout.n:
-        raise ValueError("coloring size does not match layout")
     d = compile_book(layout)
     n = layout.n
     pos = {v: i for i, v in enumerate(layout.spine)}

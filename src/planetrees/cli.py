@@ -21,12 +21,11 @@ from .core import (
     Drawing,
     SolveReport,
     STATUS_TREE_FOUND,
-    edge,
     validate_drawing,
 )
 from .cylindrical import compile_layout, solve_cylindrical
 from .generators import gen_book, gen_coloring, gen_cylindrical, gen_points
-from .monotone import MonotoneDrawing, solve_monotone
+from .monotone import MAX_GROUP_SPAN, MonotoneDrawing, solve_monotone
 from .render import render_svg
 from .search import (
     JOBS_ENV,
@@ -160,24 +159,32 @@ def cmd_solve(args) -> int:
     return _report_exit(rep)
 
 
+# brute --mode name -> (find_plane_tree mode, whether ":<color>" follows).
+BRUTE_MODES = {"mono": ("monochromatic", False), "hypo": ("hypochromatic", False), "avoid": ("avoid", True)}
+
+
+def _brute_mode(text: str) -> tuple[str, Optional[int]]:
+    """The search mode and color named by ``--mode``."""
+    name, sep, color = text.partition(":")
+    mode, takes_color = BRUTE_MODES.get(name, (None, None))
+    if mode is not None and takes_color == bool(sep):
+        try:
+            return mode, int(color) if sep else None
+        except ValueError:
+            pass
+    raise ValueError(f"unknown mode {text!r} (use mono, avoid:<c>, or hypo)")
+
+
 def cmd_brute(args) -> int:
+    mode, color = _brute_mode(args.mode)
     inst = _load(_read(args.file), "brute", colors=args.colors)
     d = _checked(inst.drawing())
     coloring = inst.coloring
     if coloring is None:
         raise ValueError("no coloring: embed a colors section or pass --colors")
-    mode = args.mode
-    if mode == "mono":
-        rep = find_plane_tree(d, coloring, mode="monochromatic", allow_large=args.allow_large)
-    elif mode == "hypo":
-        rep = find_plane_tree(d, coloring, mode="hypochromatic", allow_large=args.allow_large)
-    elif mode.startswith("avoid:"):
-        color = int(mode.split(":", 1)[1])
-        rep = find_plane_tree(d, coloring, mode="avoid", color=color, allow_large=args.allow_large)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (use mono, avoid:<c>, or hypo)")
+    rep = find_plane_tree(d, coloring, mode=mode, color=color, allow_large=args.allow_large)
     _emit("n", d.n)
-    _emit("mode", mode)
+    _emit("mode", args.mode)
     _emit_report(rep)
     return _report_exit(rep)
 
@@ -259,32 +266,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_tree_file(text: str, n: int):
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" in line:
-            key, _, rest = line.partition(":")
-            if key.strip() != "tree":
-                continue
-            line = rest
-        tokens.extend(line.split())
-    edges = set()
-    for tok in tokens:
-        u, _, v = tok.partition("-")
-        e = edge(int(u), int(v))
-        if not (0 <= e[0] < e[1] < n):
-            raise ValueError(f"tree edge {tok} out of range for n={n}")
-        edges.add(e)
-    return frozenset(edges)
-
-
 def cmd_render(args) -> int:
     inst = _load(_read(args.file), "render")
     _checked(inst.drawing())
-    tree = _parse_tree_file(_read(args.tree), inst.n) if args.tree else None
+    tree = None
+    if args.tree:
+        try:
+            tree = formats.parse_tree(_read(args.tree), inst.n)
+        except formats.ParseError as exc:
+            raise ValueError(f"tree file {args.tree}: {exc}") from None
     svg = render_svg(inst.value, tree)
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write(svg)
@@ -337,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--colors", help="coloring file overriding the embedded one")
     p_solve.add_argument("--assert-invariants", action="store_true",
                          help="assert per-step sweep invariants")
-    p_solve.add_argument("--group-span", type=int, default=6,
-                         help="monotone group span d (default 6)")
+    p_solve.add_argument("--group-span", type=int, default=MAX_GROUP_SPAN,
+                         help=f"monotone group span d (default {MAX_GROUP_SPAN})")
     p_solve.set_defaults(func=cmd_solve)
 
     p_brute = sub.add_parser("brute", help="exhaustive plane-tree search")

@@ -35,6 +35,7 @@ Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
     colors: k=<k>       (required)
 
 Class files are one drawing per line, ``n;<crossing pairs comma-separated>``.
+Tree files (``render --tree``) hold ``u-v`` tokens, plain or after ``tree:``.
 
 ``load_instance(text)`` reads every other file: the header picks its
 row of the ``KINDS`` table (parser, compiler) before the body is parsed.
@@ -512,6 +513,23 @@ def parse_class_file(path: str) -> list[Drawing]:
             crossings.add(pair)
         drawings.append(Drawing(n, frozenset(crossings)))
     return drawings
+
+
+def parse_tree(text: str, n: int) -> frozenset[Edge]:
+    """Tree edges ``u-v`` of K_n, on plain lines or after ``tree:``.
+
+    Lines with another ``key:`` are skipped, so a solver's report reads
+    back as the tree it found.
+    """
+    edges = set()
+    for line_no, line in _Lines(text).items:
+        key, sep, rest = line.partition(":")
+        if sep:
+            if key.strip() != "tree":
+                continue
+            line = rest
+        edges.update(_parse_edge_token(line_no, tok, n) for tok in line.split())
+    return frozenset(edges)
 
 
 # kind -> (parser, compiler).  A drawing file needs no compiler and a

@@ -9,10 +9,11 @@ into a spanning tree of the whole drawing.
 Two passes: first each group is searched for a monochromatic plane
 spanning tree and the colors found are kept; since there are fewer
 groups than colors, some color r remains removable.  Then each group
-reuses its monochromatic tree or finds a plane spanning tree in the
-2-coloring that merges everything but r, which exists whenever the
-group is small enough for the exhaustive small-drawing guarantee
-(groups of at most 7 vertices, hence the default d = 6).
+reuses its monochromatic tree or finds a plane spanning tree avoiding
+r, which exists whenever the group is small enough for the exhaustive
+small-drawing guarantee (groups of at most 7 vertices, hence d <= 6).
+The slab disjointness of every answer is checked, whatever the input:
+no crossing pair may join tree edges of two different groups.
 """
 
 from __future__ import annotations
@@ -31,41 +32,32 @@ from .core import (
     edge_index,
     edge_table,
     induced_subdrawing,
-    merge_colors,
     tree_colors,
 )
 from .search import find_plane_tree
 from .straightline import PointDrawing, compile_points, x_order
 
-DEFAULT_GROUP_SPAN = 6
 MAX_GROUP_SPAN = 6  # groups of d+1 <= 7 vertices keep the exhaustive guarantee
-
-PROVENANCE_POINTS = "compiled-from-points"
-PROVENANCE_TRUSTED = "trusted-crossing-set"
 
 
 @dataclass(frozen=True)
 class MonotoneDrawing:
     """A drawing with a designated x-order of its vertices.
 
-    Trusted crossing-set inputs must satisfy the slab property (edges
-    of x-disjoint vertex ranges never cross); inputs compiled from
-    points satisfy it by construction.
+    The solver relies on the slab property (edges of x-disjoint vertex
+    ranges never cross) and checks it on the tree it returns.
     """
 
     drawing: Drawing
     x_order: tuple[int, ...]
-    provenance: str = PROVENANCE_TRUSTED
 
     def __post_init__(self) -> None:
         if sorted(self.x_order) != list(range(self.drawing.n)):
             raise ValueError("x_order must be a permutation of the vertices")
-        if self.provenance not in (PROVENANCE_POINTS, PROVENANCE_TRUSTED):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @classmethod
     def from_points(cls, p: PointDrawing) -> "MonotoneDrawing":
-        return cls(compile_points(p), tuple(x_order(p.points)), PROVENANCE_POINTS)
+        return cls(compile_points(p), tuple(x_order(p.points)))
 
     @property
     def n(self) -> int:
@@ -73,13 +65,14 @@ class MonotoneDrawing:
 
 
 def colors_needed(n: int) -> int:
-    """Colors for which the group argument applies at span 6: ceil((n+5)/6)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    return (n + 5 + 5) // 6
+    """Colors for which the group argument applies at span 6: ceil((n+5)/6).
+
+    One more than the number of groups, so some color is kept by no group.
+    """
+    return len(group_partition(n)) + 1
 
 
-def group_partition(n: int, d: int = DEFAULT_GROUP_SPAN) -> list[tuple[int, ...]]:
+def group_partition(n: int, d: int = MAX_GROUP_SPAN) -> list[tuple[int, ...]]:
     """x-rank groups of span d: ranks (d*i .. d*i+d), overlapping by one.
 
     Returns k-1 groups where k = ceil((n-1)/d) + 1; the last group may
@@ -101,13 +94,14 @@ def group_partition(n: int, d: int = DEFAULT_GROUP_SPAN) -> list[tuple[int, ...]
 def solve_monotone(
     dr: MonotoneDrawing,
     c: EdgeColoring,
-    d: int = DEFAULT_GROUP_SPAN,
-    allow_large: bool = False,
+    d: int = MAX_GROUP_SPAN,
 ) -> SolveReport:
     """Plane spanning tree avoiding at least one color.
 
-    Requires c.k >= ceil((n-1)/d) + 1 colors and a group span d <= 6 so
-    that every group admits the exhaustive small-drawing search.
+    Requires c.k >= ceil((n-1)/d) + 1 colors (one more than the groups)
+    and a group span d <= 6 so that every group admits the exhaustive
+    small-drawing search.  The answer is certified plane, spanning,
+    avoiding the removed color and slab-disjoint on every input.
     """
     n = dr.n
     if c.n != n:
@@ -117,11 +111,11 @@ def solve_monotone(
             f"group span d={d} unsupported: groups of d+1 > {MAX_GROUP_SPAN + 1} vertices "
             f"have no verified small-instance guarantee"
         )
-    k = -(-(n - 1) // d) + 1
+    groups = group_partition(n, d)
+    k = len(groups) + 1
     if c.k < k:
         raise ValueError(f"need at least {k} colors for n={n}, d={d}; got k={c.k}")
 
-    groups = group_partition(n, d)
     group_vertices = [tuple(dr.x_order[r] for r in g) for g in groups]
     induced = [induced_subdrawing(dr.drawing, c, gv) for gv in group_vertices]
 
@@ -130,7 +124,7 @@ def solve_monotone(
     cached: list[Optional[SolveReport]] = []
     for sub_d, sub_c in induced:
         assert sub_c is not None
-        rep = find_plane_tree(sub_d, sub_c, mode="monochromatic", allow_large=allow_large)
+        rep = find_plane_tree(sub_d, sub_c, mode="monochromatic")
         if rep.status == STATUS_TREE_FOUND:
             col = tree_colors(sub_c, rep.tree).pop()
             keep.add(col)
@@ -158,8 +152,7 @@ def solve_monotone(
     for gi, ((sub_d, sub_c), rep) in enumerate(zip(induced, cached)):
         assert sub_c is not None
         if rep is None:
-            merged = merge_colors(sub_c, keep=removed)
-            rep = find_plane_tree(sub_d, merged, mode="monochromatic", color=1, allow_large=allow_large)
+            rep = find_plane_tree(sub_d, sub_c, mode="avoid", color=removed)
             if rep.status != STATUS_TREE_FOUND:
                 return SolveReport(
                     status=STATUS_COUNTEREXAMPLE,
@@ -178,16 +171,11 @@ def solve_monotone(
         group_trees.append(sorted(mapped))
         union |= mapped
 
-    slab_ok = True
-    if dr.provenance == PROVENANCE_POINTS:
-        # Edges of distinct groups never cross: x-slab disjointness.
-        owner: dict = {}
-        for gi, t in enumerate(group_trees):
-            for e in t:
-                owner[e] = gi
-        for e, f in dr.drawing.crossings:
-            if e in owner and f in owner and owner[e] != owner[f]:
-                slab_ok = False
+    # Edges of distinct groups never cross: x-slab disjointness.
+    owner = {e: gi for gi, t in enumerate(group_trees) for e in t}
+    slab_ok = not any(
+        e in owner and f in owner and owner[e] != owner[f] for e, f in dr.drawing.crossings
+    )
     return certify(
         dr.drawing,
         c,

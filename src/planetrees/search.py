@@ -49,6 +49,8 @@ from .core import (
     edge,
     edge_mask,
     edge_table,
+    is_plane,
+    is_spanning_tree,
     mask_is_plane,
 )
 
@@ -141,9 +143,10 @@ def find_plane_tree(
 
     ``mode`` is one of ``monochromatic`` (one color; a specific one if
     ``color`` is given), ``avoid`` (no edge of ``color``), or
-    ``hypochromatic`` (at least one of the k colors unused).  Returns a
-    counterexample-candidate report when the exhaustive scan finds
-    nothing.
+    ``hypochromatic`` (at least one of the k colors unused).  The tree
+    found is certified by ``is_plane`` and ``is_spanning_tree``, not by
+    the conflict index the scan used.  Returns a counterexample report
+    when the exhaustive scan finds nothing or the certificate fails.
     """
     if mode not in ("monochromatic", "avoid", "hypochromatic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -183,13 +186,12 @@ def find_plane_tree(
             continue
         if mask_is_plane(mask, conflicts):
             tree = _mask_to_edges(n, mask)
-            return SolveReport(
-                status=STATUS_TREE_FOUND,
-                tree=tree,
-                avoided_colors=avoided,
-                checked_invariants=(("plane", True), ("spanning-tree", True)),
-                witness={"mode": mode, "color": color},
-            )
+            checks = (("plane", is_plane(d, tree)), ("spanning-tree", is_spanning_tree(n, tree)))
+            witness = {"mode": mode, "color": color}
+            if all(ok for _, ok in checks):
+                return SolveReport(STATUS_TREE_FOUND, tree, avoided, checks, witness)
+            failure = {"reason": "output predicates failed", **witness}
+            return SolveReport(STATUS_COUNTEREXAMPLE, tree, frozenset(), checks, failure)
     return SolveReport(
         status=STATUS_COUNTEREXAMPLE,
         witness={
@@ -201,7 +203,7 @@ def find_plane_tree(
     )
 
 
-def nonspanning_fallback(d: Drawing, c: EdgeColoring, allow_large: bool = False) -> SolveReport:
+def nonspanning_fallback(d: Drawing, c: EdgeColoring) -> SolveReport:
     """Plane spanning tree avoiding a disconnected color class.
 
     When some color class does not connect all vertices, the remaining
@@ -219,7 +221,7 @@ def nonspanning_fallback(d: Drawing, c: EdgeColoring, allow_large: bool = False)
             status=STATUS_NOT_APPLICABLE,
             witness={"reason": "every color class is spanning"},
         )
-    report = find_plane_tree(d, c, mode="avoid", color=bad, allow_large=allow_large)
+    report = find_plane_tree(d, c, mode="avoid", color=bad)
     if report.status != STATUS_TREE_FOUND:
         return SolveReport(
             status=STATUS_COUNTEREXAMPLE,

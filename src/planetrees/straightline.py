@@ -298,13 +298,11 @@ class _Solver:
         return None
 
 
-def solve_points(p: PointDrawing, coloring: Optional[EdgeColoring] = None) -> SolveReport:
+def solve_points(p: PointDrawing) -> SolveReport:
     """Monochromatic plane spanning tree of a 2-colored point drawing."""
-    color = coloring if coloring is not None else p.color
+    color = p.color
     if color.k != 2:
         raise ValueError(f"point solver handles exactly 2 colors, got k={color.k}")
-    if color.n != p.n:
-        raise ValueError("coloring size does not match point count")
     d = compile_points(p)
     solver = _Solver(p.points, d, color)
     try:

@@ -407,3 +407,31 @@ def test_bad_jobs_environment_does_not_affect_other_commands(capsys, monkeypatch
     code, out, _ = run(capsys, "gen", "--class", "book", "--n", "4", "--seed", "1")
     assert code == 0
     assert out.startswith("book n=4")
+
+
+@pytest.mark.parametrize("mode", ["avoid:x", "avoid:", "avoid", "mono:0", "hypo:1", "triangle"])
+def test_brute_mode_is_checked_before_the_file(capsys, tmp_path, mode):
+    # The file does not exist: the mode must be refused first.
+    code, out, err = run(capsys, "brute", str(tmp_path / "missing.drawing"), "--mode", mode)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown mode {mode!r} (use mono, avoid:<c>, or hypo)\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tree: 0-1-2\n", "line 1: expected edge token u-v, got '0-1-2'"),
+        ("# a comment\n0-1\n0-x\n", "line 3: expected vertex, got 'x'"),
+        ("status: tree-found\ntree: 0-1 3-3\n", "line 2: edge '3-3' out of range for n=6"),
+    ],
+)
+def test_render_tree_errors_name_the_tree_file_and_line(capsys, tmp_path, book_file, text, message):
+    tree = tmp_path / "bad.tree"
+    tree.write_text(text)
+    svg = tmp_path / "out.svg"
+    code, _, err = run(capsys, "render", book_file, "--tree", str(tree), "-o", str(svg))
+    assert code == 1
+    assert not svg.exists()
+    assert err == f"error: tree file {tree}: {message}\n"
+

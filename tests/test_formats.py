@@ -170,3 +170,12 @@ def test_compiled_drawings_round_trip_through_files():
         ):
             d2, _, _ = parse_drawing(serialize_drawing(d))
             assert d2 == d
+
+
+def test_parse_tree_reads_plain_and_report_lines():
+    from planetrees.formats import parse_tree
+
+    text = "status: tree-found\ntree: 0-1 1-2\n2-3  # plain line\n\nclass: book\n"
+    assert parse_tree(text, 4) == frozenset({(0, 1), (1, 2), (2, 3)})
+    with pytest.raises(ParseError, match="line 1: edge '0-4' out of range for n=4"):
+        parse_tree("0-4\n", 4)

@@ -169,3 +169,24 @@ def test_random_instances_with_group_oracle(seed):
     for gv in rep.witness["groups"]:
         sd, sc = induced_subdrawing(dr.drawing, p.color, gv)
         assert find_plane_tree(sd, sc, mode="hypochromatic").status == "tree-found"
+
+
+def test_slab_disjointness_is_checked_on_trusted_drawings():
+    # Span 2 on K_5 groups x-ranks {0,1,2} and {2,3,4}.  With one color
+    # everywhere each group takes the star at its first vertex, 0-1 0-2
+    # and 2-3 2-4, and the one crossing joins 0-1 with 2-3: tree edges of
+    # two groups cross, which x-monotone edges never do.
+    from conftest import plain_drawing, uniform_coloring
+
+    d = plain_drawing(5, [((0, 1), (2, 3))])
+    dr = MonotoneDrawing(d, tuple(range(5)))
+    rep = solve_monotone(dr, uniform_coloring(5, 0, k=3), d=2)
+    assert rep.tree == frozenset({(0, 1), (0, 2), (2, 3), (2, 4)})
+    assert ("slab-disjointness", False) in rep.checked_invariants
+    assert ("output-plane", False) in rep.checked_invariants
+    assert rep.status == "counterexample"
+
+
+def test_colors_needed_needs_two_vertices():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        colors_needed(1)

@@ -257,3 +257,30 @@ def test_pool_size_is_clamped_to_cpus_and_chunks(monkeypatch):
     assert pool_size(0, 100) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pool_size(8, 100) == 1
+
+
+# ----------------------------------------------------------------------
+# certification of the brute-force answer
+# ----------------------------------------------------------------------
+
+def _crossing_path_coloring():
+    # Color 1 is exactly the path 0-2 2-1 1-3, whose ends 0-2 and 1-3
+    # cross in one_crossing_k4: the only color-1 spanning tree is not plane.
+    return coloring_from(4, 2, {(0, 2): 1, (1, 2): 1, (1, 3): 1, (0, 1): 0, (0, 3): 0, (2, 3): 0})
+
+
+def test_find_plane_tree_certifies_independently_of_the_index(monkeypatch):
+    import planetrees.search as search
+
+    c = _crossing_path_coloring()
+    rep = find_plane_tree(one_crossing_k4(), c, mode="monochromatic", color=1)
+    assert rep.status == "counterexample"
+    assert "exhaustive scan" in rep.witness["reason"]
+    # A scan that wrongly calls every tree plane is caught by is_plane.
+    monkeypatch.setattr(search, "mask_is_plane", lambda mask, conflicts: True)
+    rep = find_plane_tree(one_crossing_k4(), c, mode="monochromatic", color=1)
+    assert rep.status == "counterexample"
+    assert rep.checked_invariants == (("plane", False), ("spanning-tree", True))
+    assert rep.witness["reason"] == "output predicates failed"
+    assert rep.tree == frozenset({(0, 2), (1, 2), (1, 3)})
+

@@ -126,7 +126,7 @@ def compile_book(layout: BookLayout) -> Drawing:
         ))
     by_position = [[page[u][w] for w in spine] for u in spine]
     crossings = frozenset(interleaving_crossings(spine, by_position))
-    return Drawing(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
+    return Drawing.compiled(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
 
 
 def solve_book(layout: BookLayout) -> SolveReport:

@@ -32,8 +32,8 @@ from .search import (
     VerifyReport,
     find_plane_tree,
     long_run_enabled,
-    verify_class_file,
     verify_all_colorings,
+    verify_classes,
 )
 from .straightline import compile_points, solve_points
 
@@ -103,7 +103,7 @@ def _checked(d: Drawing) -> Drawing:
 def cmd_validate(args) -> int:
     text = _read(args.file)
     if formats.detect_kind(text) == "class":
-        drawings = formats.parse_class_file(args.file)
+        drawings = formats.parse_classes(text)
         bad = 0
         for i, d in enumerate(drawings):
             violations = validate_drawing(d)
@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     else:
         text = _read(args.file)
         if formats.detect_kind(text) == "class":
-            report = verify_class_file(args.file, long_run=long_run, jobs=jobs, start_index=args.start)
+            report = verify_classes(formats.parse_classes(text), long_run, jobs, args.start)
             _emit("records", report.records_verified)
             _emit("colorings", report.colorings_checked)
             _emit("failures", len(report.failures))

@@ -132,6 +132,15 @@ class Drawing:
             canon = tuple(_canonical_rotation(r) for r in self.rotations)
             object.__setattr__(self, "rotations", canon)
 
+    @classmethod
+    def compiled(cls, n: int, crossings: frozenset[CrossingPair], rotations=None, vertex_labels=None) -> "Drawing":
+        """A layout compiler's drawing, whose crossings are canonical pairs
+        by construction: the pair check that parsed input goes through
+        is skipped, and rotations are canonicalized as usual."""
+        d = cls(n, frozenset(), rotations, vertex_labels)
+        object.__setattr__(d, "crossings", crossings)
+        return d
+
     @functools.cached_property
     def conflicts(self) -> tuple[int, ...]:
         """Bitmask of the edges crossing each edge, in ``edge_index`` order.

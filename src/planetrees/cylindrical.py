@@ -13,14 +13,17 @@ pi, so crossing counts are closed-form integer computations:
   cut open is a one-page book, so these come from the book compiler's
   4-subset rule;
 * two side edges cross once per integer multiple of a full turn lying
-  strictly between their angular differences at the two circles;
-  compilation puts all angles and windings over one common denominator
-  first, so each side pair costs two integer floor divisions;
+  strictly between their angular differences at the two circles, so
+  each side pair costs two integer floor divisions;
 * circle-consecutive (cycle) edges are uncrossed, and cross-kind pairs
   never meet.
 
 Layouts whose side edges would meet twice, or whose adjacent side
 edges would meet at all, are rejected as not simple.
+
+Validation and compilation put all angles and windings over one common
+denominator once (``CylindricalLayout.ticks``) and work in those integer
+ticks; ``Fraction`` values appear only as the layout's fields and in files.
 
 The solver sweeps back and forth over the side edges: it grows an
 active caterpillar subgraph H by walking the rotation of a current
@@ -37,6 +40,7 @@ and re-attaches them by their uncrossed cycle edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,24 +97,34 @@ class CylindricalLayout:
         p, q = len(self.inner_angles), len(self.outer_angles)
         if p + q < 2:
             raise ValueError("layout needs at least 2 vertices")
-        for angles, side in ((self.inner_angles, "inner"), (self.outer_angles, "outer")):
-            for a in angles:
-                if not 0 <= a < TURN:
+        den, inner, outer, windings = self.ticks
+        for angles, ticks, side in ((self.inner_angles, inner, "inner"), (self.outer_angles, outer, "outer")):
+            for a, t in zip(angles, ticks):
+                if not 0 <= t < 2 * den:
                     raise ValueError(f"{side} angle {a} outside [0, 2) pi")
-            if any(angles[i] >= angles[i + 1] for i in range(len(angles) - 1)):
+            if any(ticks[i] >= ticks[i + 1] for i in range(len(ticks) - 1)):
                 raise ValueError(f"{side} angles must be strictly increasing")
-        if len(self.windings) != p or any(len(row) != q for row in self.windings):
+        if len(windings) != p or any(len(row) != q for row in windings):
             raise ValueError(f"windings must have shape {p}x{q}")
-        for i in range(p):
-            for j in range(q):
-                diff = self.outer_angles[j] - self.inner_angles[i]
-                if (self.windings[i][j] - diff) % TURN != 0:
+        for i, a in enumerate(inner):
+            for j, b in enumerate(outer):
+                if (windings[i][j] - (b - a)) % (2 * den):
                     raise ValueError(
                         f"winding of side edge {i}-{p + j} is not congruent to the "
                         f"angle difference modulo a full turn"
                     )
         if self.color.n != p + q:
             raise ValueError("coloring size does not match vertex count")
+
+    @functools.cached_property
+    def ticks(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(den, inner, outer, windings)``: every angle and winding as an
+        integer count of ticks over their common denominator ``den``, so
+        a full turn is ``2 * den`` ticks."""
+        rows = (self.inner_angles, self.outer_angles, *self.windings)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        inner, outer, *windings = (tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        return den, inner, outer, tuple(windings)
 
     @property
     def n_inner(self) -> int:
@@ -134,24 +148,13 @@ class CylindricalLayout:
         return (e[0] < self.n_inner) != (e[1] < self.n_inner)
 
 
-def compile_layout(layout: CylindricalLayout) -> Drawing:
-    """Crossing set and rotation system of an annulus layout.
-
-    Raises NotSimpleError when any independent side pair meets more
-    than once or any adjacent side pair meets at all.
-    """
-    p, q, n = layout.n_inner, layout.n_outer, layout.n
-    # Over the common denominator den, a side edge's angular position
-    # runs from start to end in integer ticks, and a full turn is 2*den.
-    den = math.lcm(*(x.denominator for x in layout.inner_angles + layout.outer_angles),
-                   *(x.denominator for row in layout.windings for x in row))
-    turn = 2 * den
-    ticks = [[x.numerator * (den // x.denominator) for x in row] for row in layout.windings]
-    sides = []
-    for u, a in enumerate(layout.inner_angles):
-        start = a.numerator * (den // a.denominator)
-        sides.extend(((u, w), start, start + t) for w, t in enumerate(ticks[u], p))
-    crossings = interleaving_crossings(range(p)) + interleaving_crossings(range(p, n))
+def side_crossings(sides: list[tuple[Edge, int, int]], turn: int) -> list[tuple[Edge, Edge]]:
+    """Crossing pairs among side edges ``(edge, start, end)``, whose angular
+    positions at the inner and outer circle are integer ticks, ``turn`` to
+    a full turn.  Pairs are checked in list order; raises NotSimpleError at
+    the first adjacent pair that meets at all or independent pair that
+    meets more than once."""
+    crossings = []
     for i, (e, s0, s1) in enumerate(sides):
         for f, t0, t1 in sides[i + 1 :]:
             lo, hi = s0 - t0, s1 - t1
@@ -165,6 +168,19 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
             if m >= 2:
                 raise NotSimpleError(f"independent side edges {e} and {f} meet {m} times")
             crossings.append((e, f))
+    return crossings
+
+
+def compile_layout(layout: CylindricalLayout) -> Drawing:
+    """Crossing set and rotation system of an annulus layout.
+
+    Raises NotSimpleError when any independent side pair meets more
+    than once or any adjacent side pair meets at all.
+    """
+    p, q, n = layout.n_inner, layout.n_outer, layout.n
+    den, inner, _, ticks = layout.ticks
+    sides = [((u, w), a, a + t) for u, a in enumerate(inner) for w, t in enumerate(ticks[u], p)]
+    crossings = interleaving_crossings(range(p)) + interleaving_crossings(range(p, n)) + side_crossings(sides, 2 * den)
 
     # Counterclockwise rotations.  At either circle the side edges take
     # off tilted by the arctangent of their winding, so they appear by
@@ -179,7 +195,7 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
         sides_v = sorted(range(p), key=lambda u: ticks[u][j])
         rotations.append(tuple(sides_v + [p + (j - s) % q for s in range(1, q)]))
     labels = tuple("inner" if v < p else "outer" for v in range(n))
-    return Drawing(n, frozenset(crossings), tuple(rotations), labels)
+    return Drawing.compiled(n, frozenset(crossings), tuple(rotations), labels)
 
 
 def cycle_edges_of(ids: list[int]) -> list[Edge]:

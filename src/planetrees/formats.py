@@ -487,7 +487,11 @@ def serialize_class_file(drawings: list[Drawing]) -> str:
 
 def parse_class_file(path: str) -> list[Drawing]:
     with open(path, encoding="ascii") as fh:
-        text = fh.read()
+        return parse_classes(fh.read())
+
+
+def parse_classes(text: str) -> list[Drawing]:
+    """One drawing per ``n;<crossing pairs>`` line of a class file."""
     drawings = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

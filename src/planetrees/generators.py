@@ -2,7 +2,8 @@
 
 All generators are deterministic functions of their seed (each builds
 its own ``random.Random``), so identical seeds reproduce identical
-instances byte-for-byte after serialization.
+instances byte-for-byte after serialization.  The annulus generator
+draws and checks its candidates in integer ticks of one full turn.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from fractions import Fraction
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout
 from .core import EdgeColoring
-from .cylindrical import TURN, CylindricalLayout, NotSimpleError, compile_layout
+from .cylindrical import CylindricalLayout, NotSimpleError, side_crossings
 from .straightline import PointDrawing, orient
+
+WRAP_PROB = 0.15  # chance that an annulus winding gains or loses a full turn
+MAX_RESAMPLES = 64  # annulus candidates drawn before gen_cylindrical gives up
 
 
 class GenerationError(RuntimeError):
@@ -40,57 +44,45 @@ def gen_coloring(n: int, k: int, seed: int) -> EdgeColoring:
     return EdgeColoring(n, k, colors)
 
 
-def _distinct_angles(rng: random.Random, count: int, resolution: int) -> tuple[Fraction, ...]:
-    ticks = sorted(rng.sample(range(resolution), count))
-    return tuple(Fraction(2 * t, resolution) for t in ticks)
-
-
 def gen_cylindrical(
-    n_inner: int,
-    n_outer: int,
-    seed: int,
-    k: int = 2,
-    wrap_prob: float = 0.15,
-    max_resamples: int = 64,
+    n_inner: int, n_outer: int, seed: int, k: int = 2, wrap_prob: float = WRAP_PROB
 ) -> CylindricalLayout:
     """Random annulus layout accepted by the simplicity check.
 
-    Windings start from the minimal representative of the angle
-    difference and occasionally gain or lose a full turn; candidates
-    are re-sampled until the compiled drawing is simple, with the wrap
-    probability decaying to zero so the final attempts are the always
-    simple minimal-winding layout.  Gives up with a diagnostic after
-    ``max_resamples`` attempts.
+    Angles are distinct ticks, ``resolution`` to a full turn.  Windings
+    start from the minimal representative of the angle difference and
+    occasionally gain or lose a full turn; candidates are re-sampled
+    until ``side_crossings`` accepts them, with the wrap probability
+    decaying to zero so the final attempts are the always simple
+    minimal-winding layout.  Only the accepted candidate becomes exact
+    angles and windings.  Gives up after ``MAX_RESAMPLES`` attempts.
     """
     n = n_inner + n_outer
     if n < 2:
         raise ValueError("need at least 2 vertices in total")
     rng = random.Random(f"cylindrical:{n_inner}:{n_outer}:{seed}")
-    resolution = max(8 * n * n, 64)
+    resolution = max(8 * n * n, 64)  # ticks per full turn
     color = gen_coloring(n, k, seed)
     last_error = "no attempt made"
-    for attempt in range(max_resamples):
-        inner = _distinct_angles(rng, n_inner, resolution)
-        outer = _distinct_angles(rng, n_outer, resolution)
-        p_wrap = wrap_prob * max(0.0, 1.0 - attempt / max(1, max_resamples // 2))
-        windings = []
-        for i in range(n_inner):
-            row = []
-            for j in range(n_outer):
-                base = (outer[j] - inner[i]) % TURN
+    for attempt in range(MAX_RESAMPLES):
+        inner = sorted(rng.sample(range(resolution), n_inner))
+        outer = sorted(rng.sample(range(resolution), n_outer))
+        p_wrap = wrap_prob * max(0.0, 1.0 - attempt / (MAX_RESAMPLES // 2))
+        windings = [[(b - a) % resolution for b in outer] for a in inner]
+        for row in windings:
+            for j, w in enumerate(row):
                 if rng.random() < p_wrap:
-                    base += TURN if rng.random() < 0.5 else -TURN
-                row.append(base)
-            windings.append(tuple(row))
-        layout = CylindricalLayout(inner, outer, tuple(windings), color)
+                    row[j] = w + (resolution if rng.random() < 0.5 else -resolution)
+        sides = [((u, w), a, a + t) for u, a in enumerate(inner) for w, t in enumerate(windings[u], n_inner)]
         try:
-            compile_layout(layout)
+            side_crossings(sides, resolution)
         except NotSimpleError as exc:
             last_error = str(exc)
             continue
-        return layout
+        exact = [tuple(Fraction(2 * t, resolution) for t in row) for row in (inner, outer, *windings)]
+        return CylindricalLayout(exact[0], exact[1], tuple(exact[2:]), color)
     raise GenerationError(
-        f"no simple layout within {max_resamples} attempts "
+        f"no simple layout within {MAX_RESAMPLES} attempts "
         f"(n_inner={n_inner}, n_outer={n_outer}, seed={seed}); last rejection: {last_error}"
     )
 

@@ -428,20 +428,24 @@ class ClassFileReport:
         return not self.failures
 
 
-def verify_class_file(
-    path: str,
+def verify_class_file(path: str, long_run: bool = False, jobs: int = 1, start_index: int = 0) -> ClassFileReport:
+    """verify_classes over the records of the class file at ``path``."""
+    from .formats import parse_class_file
+
+    return verify_classes(parse_class_file(path), long_run, jobs, start_index)
+
+
+def verify_classes(
+    records: list[Drawing],
     long_run: bool = False,
     jobs: int = 1,
     start_index: int = 0,
 ) -> ClassFileReport:
     """Run verify_all_colorings on every drawing record of a class file.
 
-    Each line is ``n;<crossing pairs comma-separated>``.  Verification
-    is resumable via ``start_index`` (0-based record number).
+    Each record comes from a line ``n;<crossing pairs comma-separated>``.
+    Verification is resumable via ``start_index`` (0-based record number).
     """
-    from .formats import parse_class_file
-
-    records = parse_class_file(path)
     todo = [(rec_no, drawing) for rec_no, drawing in enumerate(records) if rec_no >= start_index]
     blocks = 1
     for _, drawing in todo:

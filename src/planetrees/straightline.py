@@ -146,7 +146,7 @@ def compile_points(p: PointDrawing) -> Drawing:
     rotations = tuple(_rotation(p.points, o, v) for v in range(n))
     rank = {v: r for r, v in enumerate(x_order(p.points))}
     labels = tuple(f"x:{rank[v]}" for v in range(n))
-    return Drawing(n, frozenset(crossings), rotations, labels)
+    return Drawing.compiled(n, frozenset(crossings), rotations, labels)
 
 
 def x_order(points: Sequence[Point]) -> list[int]:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from planetrees.core import Drawing, EdgeColoring, all_edges, edge
-from planetrees.cylindrical import TURN, CylindricalLayout
+from planetrees.cylindrical import TURN, CylindricalLayout, NotSimpleError, side_crossings
+from planetrees.generators import gen_coloring
 
 
 def one_crossing_k4() -> Drawing:
@@ -81,3 +83,66 @@ def side_crossing_count(layout: CylindricalLayout, e, f) -> int:
         side_start(layout, f) + winding_of(layout, f)
     )
     return _integers_strictly_between(a0 / TURN, a1 / TURN)
+
+
+def reference_layout_errors(inner_angles, outer_angles, windings, color) -> None:
+    """The rational checks of ``CylindricalLayout`` before they moved to
+    integer ticks: raise the ValueError that a layout of these fields
+    raises, or nothing."""
+    p, q = len(inner_angles), len(outer_angles)
+    if p + q < 2:
+        raise ValueError("layout needs at least 2 vertices")
+    for angles, side in ((inner_angles, "inner"), (outer_angles, "outer")):
+        for a in angles:
+            if not 0 <= a < TURN:
+                raise ValueError(f"{side} angle {a} outside [0, 2) pi")
+        if any(angles[i] >= angles[i + 1] for i in range(len(angles) - 1)):
+            raise ValueError(f"{side} angles must be strictly increasing")
+    if len(windings) != p or any(len(row) != q for row in windings):
+        raise ValueError(f"windings must have shape {p}x{q}")
+    for i in range(p):
+        for j in range(q):
+            diff = outer_angles[j] - inner_angles[i]
+            if (windings[i][j] - diff) % TURN != 0:
+                raise ValueError(
+                    f"winding of side edge {i}-{p + j} is not congruent to the "
+                    f"angle difference modulo a full turn"
+                )
+    if color.n != p + q:
+        raise ValueError("coloring size does not match vertex count")
+
+
+def reference_gen_cylindrical(n_inner: int, n_outer: int, seed: int, k: int = 2) -> CylindricalLayout:
+    """The annulus generator as it was with rational candidates: each
+    candidate is a layout of ``Fraction`` angles and windings, kept when
+    compiling it would find no side pair that breaks simplicity."""
+    n = n_inner + n_outer
+    if n < 2:
+        raise ValueError("need at least 2 vertices in total")
+    rng = random.Random(f"cylindrical:{n_inner}:{n_outer}:{seed}")
+    resolution = max(8 * n * n, 64)
+    color = gen_coloring(n, k, seed)
+    max_resamples, wrap_prob = 64, 0.15
+    for attempt in range(max_resamples):
+        inner = tuple(Fraction(2 * t, resolution) for t in sorted(rng.sample(range(resolution), n_inner)))
+        outer = tuple(Fraction(2 * t, resolution) for t in sorted(rng.sample(range(resolution), n_outer)))
+        p_wrap = wrap_prob * max(0.0, 1.0 - attempt / max(1, max_resamples // 2))
+        windings = []
+        for i in range(n_inner):
+            row = []
+            for j in range(n_outer):
+                base = (outer[j] - inner[i]) % TURN
+                if rng.random() < p_wrap:
+                    base += TURN if rng.random() < 0.5 else -TURN
+                row.append(base)
+            windings.append(tuple(row))
+        layout = CylindricalLayout(inner, outer, tuple(windings), color)
+        den, starts, _, ticks = layout.ticks  # the side-pair scan of compile_layout
+        sides = [((u, w), a, a + t) for u, a in enumerate(starts) for w, t in enumerate(ticks[u], n_inner)]
+        try:
+            side_crossings(sides, 2 * den)
+        except NotSimpleError:
+            continue
+        reference_layout_errors(inner, outer, windings, color)
+        return layout
+    raise AssertionError(f"no simple layout within {max_resamples} attempts")

@@ -133,7 +133,7 @@ class Drawing:
             object.__setattr__(self, "rotations", canon)
 
     @classmethod
-    def compiled(cls, n: int, crossings: frozenset[CrossingPair], rotations=None, vertex_labels=None) -> "Drawing":
+    def compiled(cls, n: int, crossings: frozenset[CrossingPair], rotations, vertex_labels) -> "Drawing":
         """A layout compiler's drawing, whose crossings are canonical pairs
         by construction: the pair check that parsed input goes through
         is skipped, and rotations are canonicalized as usual."""

@@ -25,7 +25,7 @@ from planetrees.cli import main
 from planetrees.core import Drawing, _canonical_pairs
 from planetrees.cylindrical import CylindricalLayout, NotSimpleError, compile_layout, side_crossings
 from planetrees.formats import serialize_cylindrical
-from planetrees.generators import gen_book, gen_coloring, gen_cylindrical, gen_points
+from planetrees.generators import gen_book, gen_cylindrical, gen_points
 from planetrees.straightline import compile_points
 
 from conftest import reference_gen_cylindrical, reference_layout_errors
@@ -66,17 +66,17 @@ def test_generator_matches_rational_reference_at_benchmark_sizes(seed):
 
 
 def test_side_crossings_scan_order_and_scale():
-    # Two inner vertices, two outer ones; every winding wraps, so the
-    # first pair in scan order, 0-2 with 0-3, is adjacent and meets.
+    # 0-2 winds more than a full turn, so it meets 0-3, the first pair
+    # in scan order, although later pairs break simplicity as well.
     sides = [((0, 2), 0, 9), ((0, 3), 0, 3), ((1, 2), 4, 9), ((1, 3), 4, 11)]
     with pytest.raises(NotSimpleError, match=r"adjacent side edges \(0, 2\) and \(0, 3\) meet 1 time"):
         side_crossings(sides, 4)
-    # Minimal windings cross once, whatever the tick size.
-    sides = [((0, 2), 0, 1), ((1, 3), 2, 5)]
+    # Counts do not depend on the tick size: one crossing, then none.
     for scale in (1, 3, 10):
-        scaled = [(e, a * scale, b * scale) for e, a, b in sides]
-        assert side_crossings(scaled, 4 * scale) == []
-    assert side_crossings([((0, 2), 0, 3), ((1, 3), 2, 1)], 2) == [((0, 2), (1, 3))]
+        crossing = [((0, 2), 0, 3 * scale), ((1, 3), 2 * scale, scale)]
+        assert side_crossings(crossing, 2 * scale) == [((0, 2), (1, 3))]
+        apart = [((0, 2), 0, scale), ((1, 3), 2 * scale, 5 * scale)]
+        assert side_crossings(apart, 4 * scale) == []
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ Every format is ASCII, human-diffable, and exact: angles and windings
 are rationals in units of pi written as ``p/q``, point coordinates are
 integers or plain rationals.  Serialization is canonical (edges and
 crossing pairs sorted, rotations starting at the smallest neighbor),
-so ``parse(serialize(x)) == x`` holds for every value.
+so ``parse(serialize(x)) == x`` holds for every value.  Writers format
+edges from per-n tables in ``edge_table`` order: ``_edge_labels``
+(``u-v``) and ``_color_prefixes`` (``e u v : ``).
 
 Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
 
@@ -45,12 +47,13 @@ It returns a frozen ``Instance`` (kind, value, colouring, x-order) whose
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence, Union
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
-from .core import Drawing, Edge, EdgeColoring, all_edges, crossing_pair, edge
+from .core import Drawing, Edge, EdgeColoring, _edge_ranks, all_edges, crossing_pair, edge, edge_table
 from .cylindrical import CylindricalLayout, compile_layout
 from .straightline import PointDrawing, compile_points
 
@@ -164,8 +167,27 @@ def _parse_color_lines(lines: _Lines, n: int, k: int) -> EdgeColoring:
     return EdgeColoring.from_map(n, k, mapping)
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"{u}-{v}" for u, v in edge_table(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _color_prefixes(n: int) -> tuple[str, ...]:
+    return tuple(f"e {u} {v} : " for u, v in edge_table(n))
+
+
 def _serialize_color_lines(c: EdgeColoring) -> list[str]:
-    return [f"e {u} {v} : {c.color_of(u, v)}" for u, v in all_edges(c.n)]
+    return [f"{prefix}{color}" for prefix, color in zip(_color_prefixes(c.n), c.colors)]
+
+
+def _crossing_lines(d: Drawing) -> list[str]:
+    """``u-v w-x`` per crossing pair, sorted: rank order is lexicographic,
+    so the integer key ``rank(e)*m + rank(f)`` sorts like the pairs."""
+    labels, rank = _edge_labels(d.n), _edge_ranks(d.n)
+    m = len(labels)
+    keys = sorted(rank[e] * m + rank[f] for e, f in d.crossings)
+    return [f"{labels[key // m]} {labels[key % m]}" for key in keys]
 
 
 def _parse_colors_section(lines: _Lines, n: int) -> EdgeColoring:
@@ -187,9 +209,7 @@ def serialize_drawing(
     coloring: Optional[EdgeColoring] = None,
     x_order: Optional[tuple[int, ...]] = None,
 ) -> str:
-    out = [f"drawing n={d.n}", "crossings:"]
-    for e, f in sorted(d.crossings):
-        out.append(f"{e[0]}-{e[1]} {f[0]}-{f[1]}")
+    out = [f"drawing n={d.n}", "crossings:", *_crossing_lines(d)]
     if d.rotations is not None:
         out.append("rotations:")
         for v, rot in enumerate(d.rotations):
@@ -388,10 +408,8 @@ def serialize_book(layout: BookLayout) -> str:
     n = layout.n
     out = [f"book n={n}"]
     out.append("spine: " + " ".join(str(v) for v in layout.spine))
-    top = [e for e in all_edges(n) if layout.page_of(e) == PAGE_TOP]
-    bottom = [e for e in all_edges(n) if layout.page_of(e) == PAGE_BOTTOM]
-    out.append("top: " + " ".join(f"{u}-{v}" for u, v in top))
-    out.append("bottom: " + " ".join(f"{u}-{v}" for u, v in bottom))
+    for page in (PAGE_TOP, PAGE_BOTTOM):
+        out.append(f"{page}: " + " ".join(e for e, p in zip(_edge_labels(n), layout.pages) if p == page))
     out.append(f"colors: k={layout.color.k}")
     out.extend(_serialize_color_lines(layout.color))
     return "\n".join(out) + "\n"
@@ -480,8 +498,7 @@ def parse_points(text: str) -> PointDrawing:
 def serialize_class_file(drawings: list[Drawing]) -> str:
     out = []
     for d in drawings:
-        pairs = ",".join(f"{e[0]}-{e[1]} {f[0]}-{f[1]}" for e, f in sorted(d.crossings))
-        out.append(f"{d.n};{pairs}")
+        out.append(f"{d.n};" + ",".join(_crossing_lines(d)))
     return "\n".join(out) + "\n"
 
 

@@ -8,13 +8,14 @@ draws and checks its candidates in integer ticks of one full turn.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout
 from .core import EdgeColoring
 from .cylindrical import CylindricalLayout, NotSimpleError, side_crossings
-from .straightline import PointDrawing, orient
+from .straightline import PointDrawing
 
 WRAP_PROB = 0.15  # chance that an annulus winding gains or loses a full turn
 MAX_RESAMPLES = 64  # annulus candidates drawn before gen_cylindrical gives up
@@ -57,6 +58,8 @@ def gen_cylindrical(
     minimal-winding layout.  Only the accepted candidate becomes exact
     angles and windings.  Gives up after ``MAX_RESAMPLES`` attempts.
     """
+    if n_inner < 0 or n_outer < 0:
+        raise ValueError(f"circle sizes must be non-negative, got n_inner={n_inner}, n_outer={n_outer}")
     n = n_inner + n_outer
     if n < 2:
         raise ValueError("need at least 2 vertices in total")
@@ -104,7 +107,9 @@ def gen_points(n: int, seed: int, k: int = 2, max_resamples: int = 2000) -> Poin
 
     Points are added one at a time, rejecting any candidate that
     repeats an x-coordinate or closes a collinear triple; the grid
-    grows with n to keep rejection workable.
+    grows with n to keep rejection workable.  Two placed points are
+    collinear with the candidate exactly when their reduced directions
+    from it, signed so that dx > 0, are equal.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -119,14 +124,14 @@ def gen_points(n: int, seed: int, k: int = 2, max_resamples: int = 2000) -> Poin
                 f"no general-position point set within {max_resamples} attempts "
                 f"(n={n}, seed={seed})"
             )
-        cand = (rng.randrange(grid), rng.randrange(grid))
-        if any(cand[0] == p[0] for p in points):
-            continue
-        if any(
-            orient(points[i], points[j], cand) == 0
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        ):
-            continue
-        points.append(cand)
+        cx, cy = rng.randrange(grid), rng.randrange(grid)
+        directions = set()
+        for x, y in points:
+            dx, dy = x - cx, y - cy
+            g = math.gcd(dx, dy) if dx > 0 else -math.gcd(dx, dy)
+            if dx == 0 or (dx // g, dy // g) in directions:
+                break
+            directions.add((dx // g, dy // g))
+        else:
+            points.append((cx, cy))
     return PointDrawing(tuple(points), gen_coloring(n, k, seed))

@@ -446,6 +446,8 @@ def verify_classes(
     Each record comes from a line ``n;<crossing pairs comma-separated>``.
     Verification is resumable via ``start_index`` (0-based record number).
     """
+    if not 0 <= start_index <= len(records):
+        raise ValueError(f"start index {start_index} out of range 0..{len(records)} for {len(records)} records")
     todo = [(rec_no, drawing) for rec_no, drawing in enumerate(records) if rec_no >= start_index]
     blocks = 1
     for _, drawing in todo:

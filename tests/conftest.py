@@ -146,3 +146,81 @@ def reference_gen_cylindrical(n_inner: int, n_outer: int, seed: int, k: int = 2)
         reference_layout_errors(inner, outer, windings, color)
         return layout
     raise AssertionError(f"no simple layout within {max_resamples} attempts")
+
+
+# The writers and the point generator as they were before the per-n
+# edge-label tables and the direction test; tests/test_writer_tables.py
+# compares the package's output with these byte for byte.
+
+
+def reference_color_lines(c: EdgeColoring) -> list[str]:
+    return [f"e {u} {v} : {c.color_of(u, v)}" for u, v in all_edges(c.n)]
+
+
+def reference_serialize_drawing(d: Drawing, coloring=None, x_order=None) -> str:
+    out = [f"drawing n={d.n}", "crossings:"]
+    for e, f in sorted(d.crossings):
+        out.append(f"{e[0]}-{e[1]} {f[0]}-{f[1]}")
+    if d.rotations is not None:
+        out.append("rotations:")
+        for v, rot in enumerate(d.rotations):
+            out.append(f"{v}: " + " ".join(str(w) for w in rot))
+    if d.vertex_labels is not None:
+        out.append("labels:")
+        for v, tag in enumerate(d.vertex_labels):
+            out.append(f"{v}: {tag}")
+    if x_order is not None:
+        out.append("xorder: " + " ".join(str(v) for v in x_order))
+    if coloring is not None:
+        out.append(f"colors: k={coloring.k}")
+        out.extend(reference_color_lines(coloring))
+    return "\n".join(out) + "\n"
+
+
+def reference_book_page_lines(layout) -> list[str]:
+    """The ``top:`` and ``bottom:`` lines of a book file."""
+    from planetrees.book import PAGE_BOTTOM, PAGE_TOP
+
+    n = layout.n
+    top = [e for e in all_edges(n) if layout.page_of(e) == PAGE_TOP]
+    bottom = [e for e in all_edges(n) if layout.page_of(e) == PAGE_BOTTOM]
+    return ["top: " + " ".join(f"{u}-{v}" for u, v in top), "bottom: " + " ".join(f"{u}-{v}" for u, v in bottom)]
+
+
+def reference_serialize_class_file(drawings) -> str:
+    out = []
+    for d in drawings:
+        pairs = ",".join(f"{e[0]}-{e[1]} {f[0]}-{f[1]}" for e, f in sorted(d.crossings))
+        out.append(f"{d.n};{pairs}")
+    return "\n".join(out) + "\n"
+
+
+def reference_gen_points(n: int, seed: int, k: int = 2, max_resamples: int = 2000):
+    """The point generator with one orientation test per pair of placed points."""
+    from planetrees.generators import GenerationError
+    from planetrees.straightline import PointDrawing, orient
+
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    rng = random.Random(f"points:{n}:{seed}")
+    grid = max(4 * n * n, 64)
+    points: list[tuple[int, int]] = []
+    attempts = 0
+    while len(points) < n:
+        attempts += 1
+        if attempts > max_resamples:
+            raise GenerationError(
+                f"no general-position point set within {max_resamples} attempts "
+                f"(n={n}, seed={seed})"
+            )
+        cand = (rng.randrange(grid), rng.randrange(grid))
+        if any(cand[0] == p[0] for p in points):
+            continue
+        if any(
+            orient(points[i], points[j], cand) == 0
+            for i in range(len(points))
+            for j in range(i + 1, len(points))
+        ):
+            continue
+        points.append(cand)
+    return PointDrawing(tuple(points), gen_coloring(n, k, seed))

@@ -435,3 +435,36 @@ def test_render_tree_errors_name_the_tree_file_and_line(capsys, tmp_path, book_f
     assert not svg.exists()
     assert err == f"error: tree file {tree}: {message}\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv,sizes",
+    [
+        (["gen", "--class", "cylindrical", "--n-inner", "-1", "--n-outer", "3", "--seed", "0"], "n_inner=-1, n_outer=3"),
+        (["verify", "--gen", "cylindrical", "--n", "3", "--n-inner", "5"], "n_inner=5, n_outer=-2"),
+    ],
+    ids=["gen", "verify"],
+)
+def test_negative_circle_size_is_named(capsys, argv, sizes):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: circle sizes must be non-negative, got {sizes}\n"
+
+
+@pytest.mark.parametrize("start", ["3", "5", "-1"])
+def test_verify_start_outside_class_file_is_refused(capsys, tmp_path, start):
+    path = tmp_path / "k4.classes"
+    path.write_text("4;\n4;0-2 1-3\n")
+    code, out, err = run(capsys, "verify", str(path), "--start", start)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: start index {start} out of range 0..2 for 2 records\n"
+
+
+def test_verify_start_at_the_record_count_verifies_nothing(capsys, tmp_path):
+    path = tmp_path / "k4.classes"
+    path.write_text("4;\n4;0-2 1-3\n")
+    code, out, _ = run(capsys, "verify", str(path), "--start", "2")
+    assert code == 0
+    assert (kv(out)["records"], kv(out)["status"]) == ("0", "verified")

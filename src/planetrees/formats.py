@@ -408,8 +408,8 @@ def serialize_book(layout: BookLayout) -> str:
     n = layout.n
     out = [f"book n={n}"]
     out.append("spine: " + " ".join(str(v) for v in layout.spine))
-    for page in (PAGE_TOP, PAGE_BOTTOM):
-        out.append(f"{page}: " + " ".join(e for e, p in zip(_edge_labels(n), layout.pages) if p == page))
+    for name, page in (("top:", PAGE_TOP), ("bottom:", PAGE_BOTTOM)):
+        out.append(f"{name} " + " ".join(e for e, p in zip(_edge_labels(n), layout.pages) if p == page))
     out.append(f"colors: k={layout.color.k}")
     out.extend(_serialize_color_lines(layout.color))
     return "\n".join(out) + "\n"

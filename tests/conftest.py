@@ -7,9 +7,11 @@ import math
 import random
 from fractions import Fraction
 
+from planetrees.book import PAGE_BOTTOM, PAGE_TOP
 from planetrees.core import Drawing, EdgeColoring, all_edges, edge
 from planetrees.cylindrical import TURN, CylindricalLayout, NotSimpleError, side_crossings
-from planetrees.generators import gen_coloring
+from planetrees.generators import GenerationError, gen_coloring
+from planetrees.straightline import PointDrawing, orient
 
 
 def one_crossing_k4() -> Drawing:
@@ -179,8 +181,6 @@ def reference_serialize_drawing(d: Drawing, coloring=None, x_order=None) -> str:
 
 def reference_book_page_lines(layout) -> list[str]:
     """The ``top:`` and ``bottom:`` lines of a book file."""
-    from planetrees.book import PAGE_BOTTOM, PAGE_TOP
-
     n = layout.n
     top = [e for e in all_edges(n) if layout.page_of(e) == PAGE_TOP]
     bottom = [e for e in all_edges(n) if layout.page_of(e) == PAGE_BOTTOM]
@@ -197,9 +197,6 @@ def reference_serialize_class_file(drawings) -> str:
 
 def reference_gen_points(n: int, seed: int, k: int = 2, max_resamples: int = 2000):
     """The point generator with one orientation test per pair of placed points."""
-    from planetrees.generators import GenerationError
-    from planetrees.straightline import PointDrawing, orient
-
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     rng = random.Random(f"points:{n}:{seed}")

@@ -7,12 +7,10 @@ from .core import (
     EdgeColoring,
     EdgeSet,
     SolveReport,
-    color_class_components,
     edge,
     induced_subdrawing,
     is_plane,
     is_spanning_tree,
-    merge_colors,
     validate_drawing,
 )
 from .cylindrical import (
@@ -29,7 +27,6 @@ from .monotone import MonotoneDrawing, colors_needed, group_partition, solve_mon
 from .search import (
     enumerate_spanning_trees,
     find_plane_tree,
-    nonspanning_fallback,
     verify_class_file,
     verify_all_colorings,
 )

@@ -32,7 +32,6 @@ CrossingPair = tuple[Edge, Edge]
 
 STATUS_TREE_FOUND = "tree-found"
 STATUS_COUNTEREXAMPLE = "counterexample"
-STATUS_NOT_APPLICABLE = "not-applicable"
 
 
 def edge(u: int, v: int) -> Edge:
@@ -348,40 +347,6 @@ def is_spanning_tree(n: int, s: EdgeSet) -> bool:
                 seen.add(y)
                 stack.append(y)
     return len(seen) == n
-
-
-def connected_components(n: int, s: Iterable[Edge]) -> list[frozenset[int]]:
-    """Connected components of (V=0..n-1, s), sorted by smallest member."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in s:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
-
-
-def color_class_components(n: int, c: EdgeColoring, color: int) -> list[frozenset[int]]:
-    """Components of the subgraph formed by one color class."""
-    if not 0 <= color < c.k:
-        raise ValueError(f"color {color} out of range 0..{c.k - 1}")
-    return connected_components(n, c.class_edges(color))
-
-
-def merge_colors(c: EdgeColoring, keep: int) -> EdgeColoring:
-    """Collapse to two colors: class 0 is the kept class, 1 the rest."""
-    if not 0 <= keep < c.k:
-        raise ValueError(f"color {keep} out of range 0..{c.k - 1}")
-    return EdgeColoring(c.n, 2, tuple(0 if col == keep else 1 for col in c.colors))
 
 
 def induced_subdrawing(

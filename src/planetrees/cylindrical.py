@@ -34,8 +34,12 @@ the current one touches an opposite-colored H edge; and each round
 strictly extends the previous round's vertex set unless the opposite
 cycle is already covered.  When the sweep does not apply (a circle is
 empty, or a cycle is bichromatic or both cycles share a color) the
-reduction path removes bichromatic-cornered vertices, solves the rest,
-and re-attaches them by their uncrossed cycle edges.
+reduction path removes bichromatic-cornered vertices, solves the rest
+by the sweep or a direct construction, and re-attaches them by their
+uncrossed cycle edges.  When both reduced cycles share a color that no
+side edge has, the tree is built from side edges alone: a star from
+inner vertex 0 plus one edge per other inner vertex, read off the
+integer ticks with no search.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .core import (
     Drawing,
     Edge,
     EdgeColoring,
+    EdgeSet,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
@@ -559,12 +564,39 @@ def reduce_and_solve(
     vertices whose two incident cycle edges differ in color are removed
     (lowest index first) until both cycles are monochromatic; the
     reduced drawing is solved by the sweep, by both cycles plus one
-    equal-colored side edge, or by the disconnected-class fallback; the
-    removed vertices are then re-attached in inverse order by their
-    recorded cycle edge of the tree's color.
+    equal-colored side edge, or by ``side_edge_tree``; the removed
+    vertices are then re-attached in inverse order by their recorded
+    cycle edge of the tree's color.
+
+    ``side_edge_tree`` serves the branch where both cycles have a color
+    c that no side edge has, so every side edge has color 1 - c.  Both
+    circles then have at least 2 vertices (a 1-vertex circle takes the
+    color opposite the other cycle).  In ticks, with T a full turn, let
+    a_i be the angle of inner vertex i, W[i][w] the winding of (i, w),
+    and t_w = a_0 + W[0][w] the outer end of the star edge (0, w).
+    Why the star {(0, w)} plus one edge per inner vertex i >= 1 is a
+    plane spanning tree:
+
+    1. Lift the annulus to its universal cover, a strip.  Side edges
+       lift to segments, and two side edges cross once for each pair
+       of lifts whose order differs at the two circles.
+    2. a_0 < a_i < a_0 + T, and (i, w) may not cross (0, w), which
+       shares w; so a_i + W[i][w] is t_w or t_w + T.  The star edges
+       share vertex 0, so every t_w lies within less than T of the
+       others.
+    3. Hence (i, w) is free, crossing no star edge, only as (i, w+)
+       ending at t_{w+} or as (i, w-) ending at t_{w-} + T, where w+
+       and w- have the largest and the smallest t_w.
+    4. One of the two holds for each i: otherwise the adjacent edges
+       (i, w+) and (i, w-) would cross.
+    5. If (i, w+) is not free, no (j, w+) with j > i is: the two would
+       cross although they share w+.
+    6. So the inner vertices that take w+ come first in angular order,
+       and an edge (i, w+) never crosses a later edge (j, w-).
+
+    ``certify`` still checks the answer; a miss is a counterexample.
     """
     from .book import solve_book
-    from .search import nonspanning_fallback
 
     if layout.color.k != 2:
         raise ValueError(f"reduction needs exactly 2 colors, got k={layout.color.k}")
@@ -606,13 +638,12 @@ def reduce_and_solve(
     keep = alive_inner + alive_outer
     sub_layout, mapping = restrict_layout(layout, keep)
     inv_map = {new: old for old, new in mapping.items()}
-    sub_d = compile_layout(sub_layout)
     inner_c, outer_c = cycle_colors(sub_layout)
     checked: list[tuple[str, bool]] = []
     removed_ids = [v for v, _ in removed]
 
     if inner_c is not None and outer_c is not None and inner_c != outer_c:
-        sub_report = sweep_run(sub_d, sub_layout, assert_invariants)
+        sub_report = sweep_run(compile_layout(sub_layout), sub_layout, assert_invariants)
         if sub_report.status != STATUS_TREE_FOUND:
             return sub_report
         sub_tree = sub_report.tree
@@ -637,19 +668,7 @@ def reduce_and_solve(
             sub_tree = extract_spanning_tree(sub_layout.n, sub)
             branch = "same-color-side-edge"
         else:
-            # The shared cycle color has no side edges, so that class
-            # cannot span; search among the other color.
-            fb = nonspanning_fallback(sub_d, sub_layout.color)
-            if fb.status != STATUS_TREE_FOUND:
-                return SolveReport(
-                    status=STATUS_COUNTEREXAMPLE,
-                    checked_invariants=tuple(checked),
-                    witness={
-                        "reason": "disconnected-class fallback found no tree",
-                        "cycle_color": c,
-                    },
-                )
-            sub_tree = fb.tree
+            sub_tree = side_edge_tree(sub_layout)
             branch = "same-color-fallback"
         checked.append(("reduced-cycles-same-color", True))
     else:
@@ -680,6 +699,22 @@ def reduce_and_solve(
         tree.add(attach)
     witness = {"branch": branch, "removed_vertices": removed_ids}
     return certify(d, layout.color, frozenset(tree), checked, witness=witness, failure=witness)
+
+
+def side_edge_tree(layout: CylindricalLayout) -> EdgeSet:
+    """Plane spanning tree of the side edges of a layout whose circles
+    both have at least 2 vertices: the star from inner vertex 0 to every
+    outer vertex, plus (i, w+) for each other inner vertex i whose edge
+    to w+ ends where the star's does, and (i, w-) for the rest.  The
+    ``reduce_and_solve`` docstring says why it is plane."""
+    p = layout.n_inner
+    _, inner, _, windings = layout.ticks
+    plus = first_side_edge(layout, 0, CLOCKWISE)[1]
+    minus = first_side_edge(layout, 0, COUNTERCLOCKWISE)[1]
+    end = inner[0] + windings[0][plus - p]
+    tree = [(0, w) for w in layout.outer_ids()]
+    tree += [(i, plus if a + windings[i][plus - p] == end else minus) for i, a in enumerate(inner) if i]
+    return frozenset(tree)
 
 
 def solve_cylindrical(

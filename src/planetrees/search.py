@@ -3,13 +3,10 @@
 Spanning trees of K_n are enumerated through the bijection with
 length-(n-2) vertex sequences, so each labeled tree appears exactly
 once and "first tree found" is deterministic (lexicographic sequence
-order).  On top of the enumeration sit three users:
+order).  On top of the enumeration sit two users:
 
 * ``find_plane_tree`` — first plane spanning tree satisfying a color
   predicate (monochromatic / avoid one color / hypochromatic);
-* ``nonspanning_fallback`` — when a color class is disconnected, a
-  plane spanning tree avoiding it always exists, and the search finds
-  one;
 * ``verify_all_colorings`` — for a fixed small drawing, confirm that
   every 2-edge-coloring (up to swapping the two colors) admits a
   monochromatic plane spanning tree.
@@ -43,9 +40,7 @@ from .core import (
     EdgeSet,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
-    STATUS_NOT_APPLICABLE,
     STATUS_TREE_FOUND,
-    color_class_components,
     edge,
     edge_mask,
     edge_table,
@@ -201,37 +196,6 @@ def find_plane_tree(
             "n": n,
         },
     )
-
-
-def nonspanning_fallback(d: Drawing, c: EdgeColoring) -> SolveReport:
-    """Plane spanning tree avoiding a disconnected color class.
-
-    When some color class does not connect all vertices, the remaining
-    edges contain a complete bipartite subdrawing and a plane spanning
-    tree avoiding that class always exists; this finds one by search.
-    Returns not-applicable when every class is spanning.
-    """
-    bad = None
-    for col in range(c.k):
-        if len(color_class_components(d.n, c, col)) > 1:
-            bad = col
-            break
-    if bad is None:
-        return SolveReport(
-            status=STATUS_NOT_APPLICABLE,
-            witness={"reason": "every color class is spanning"},
-        )
-    report = find_plane_tree(d, c, mode="avoid", color=bad)
-    if report.status != STATUS_TREE_FOUND:
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            witness={
-                "reason": "no plane spanning tree avoids a non-spanning color class",
-                "color": bad,
-                "n": d.n,
-            },
-        )
-    return report
 
 
 @dataclass(frozen=True)

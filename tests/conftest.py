@@ -8,9 +8,10 @@ import random
 from fractions import Fraction
 
 from planetrees.book import PAGE_BOTTOM, PAGE_TOP
-from planetrees.core import Drawing, EdgeColoring, all_edges, edge
+from planetrees.core import Drawing, EdgeColoring, SolveReport, all_edges, edge
 from planetrees.cylindrical import TURN, CylindricalLayout, NotSimpleError, side_crossings
 from planetrees.generators import GenerationError, gen_coloring
+from planetrees.search import find_plane_tree
 from planetrees.straightline import PointDrawing, orient
 
 
@@ -221,3 +222,56 @@ def reference_gen_points(n: int, seed: int, k: int = 2, max_resamples: int = 200
             continue
         points.append(cand)
     return PointDrawing(tuple(points), gen_coloring(n, k, seed))
+
+
+# The disconnected-class fallback as it was before the annulus solver
+# built its side-edge tree directly, with the helpers only it used.
+
+
+def connected_components(n: int, s) -> list[frozenset[int]]:
+    """Connected components of (V=0..n-1, s), sorted by smallest member."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in s:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: dict[int, set[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def color_class_components(n: int, c: EdgeColoring, color: int) -> list[frozenset[int]]:
+    """Components of the subgraph formed by one color class."""
+    if not 0 <= color < c.k:
+        raise ValueError(f"color {color} out of range 0..{c.k - 1}")
+    return connected_components(n, c.class_edges(color))
+
+
+def merge_colors(c: EdgeColoring, keep: int) -> EdgeColoring:
+    """Collapse to two colors: class 0 is the kept class, 1 the rest."""
+    if not 0 <= keep < c.k:
+        raise ValueError(f"color {keep} out of range 0..{c.k - 1}")
+    return EdgeColoring(c.n, 2, tuple(0 if col == keep else 1 for col in c.colors))
+
+
+def nonspanning_fallback(d: Drawing, c: EdgeColoring) -> SolveReport:
+    """Plane spanning tree avoiding a disconnected color class, by search;
+    not-applicable when every class is spanning."""
+    bad = next((col for col in range(c.k) if len(color_class_components(d.n, c, col)) > 1), None)
+    if bad is None:
+        return SolveReport(status="not-applicable", witness={"reason": "every color class is spanning"})
+    report = find_plane_tree(d, c, mode="avoid", color=bad)
+    if report.status != "tree-found":
+        return SolveReport(
+            status="counterexample",
+            witness={"reason": "no plane spanning tree avoids a non-spanning color class", "color": bad, "n": d.n},
+        )
+    return report

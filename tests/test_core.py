@@ -5,19 +5,23 @@ import pytest
 from planetrees.core import (
     Drawing,
     EdgeColoring,
-    color_class_components,
     edge,
     extract_spanning_tree,
     induced_subdrawing,
     is_plane,
     is_spanning_tree,
-    merge_colors,
     validate_drawing,
 )
 from planetrees.generators import gen_coloring, gen_points
 from planetrees.straightline import compile_points
 
-from conftest import convex_interleaving_crossings, one_crossing_k4, uniform_coloring
+from conftest import (
+    color_class_components,
+    convex_interleaving_crossings,
+    merge_colors,
+    one_crossing_k4,
+    uniform_coloring,
+)
 
 
 # ----------------------------------------------------------------------

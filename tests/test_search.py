@@ -8,7 +8,6 @@ from planetrees.book import compile_book
 from planetrees.search import (
     enumerate_spanning_trees,
     find_plane_tree,
-    nonspanning_fallback,
     pool_size,
     verify_class_file,
     verify_all_colorings,
@@ -17,6 +16,7 @@ from planetrees.straightline import PointDrawing, compile_points, convex_hull
 
 from conftest import (
     coloring_from,
+    nonspanning_fallback,
     one_crossing_k4,
     plain_drawing,
     uniform_coloring,

@@ -219,11 +219,14 @@ def cmd_verify(args) -> int:
     long_run = args.long_run or long_run_enabled()
     jobs = args.jobs
     if args.gen is not None:
+        if args.start is not None:
+            raise ValueError("--start applies only to class files, not to --gen instances")
         d = _generated_drawing(args)
     else:
         text = _read(args.file)
-        if formats.detect_kind(text) == "class":
-            report = verify_classes(formats.parse_classes(text), long_run, jobs, args.start)
+        kind = formats.detect_kind(text)
+        if kind == "class":
+            report = verify_classes(formats.parse_classes(text), long_run, jobs, args.start or 0)
             _emit("records", report.records_verified)
             _emit("colorings", report.colorings_checked)
             _emit("failures", len(report.failures))
@@ -231,6 +234,8 @@ def cmd_verify(args) -> int:
                 _emit(f"failing-record-{rec_no}", fail["coloring"])
             _emit("status", "verified" if report.passed else "counterexample")
             return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
+        if args.start is not None:
+            raise ValueError(f"--start applies only to class files, not to {kind} files")
         d = _checked(_load(text, "verify").drawing())
     return _emit_verify(verify_all_colorings(d, long_run=long_run, jobs=jobs))
 
@@ -359,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=_jobs_count, default=os.environ.get(JOBS_ENV) or "1",
                           help=f"parallel verification shards, at most one per CPU "
                           f"(default: {JOBS_ENV} or 1)")
-    p_verify.add_argument("--start", type=int, default=0,
-                          help="first record index for resumable class-file runs")
+    p_verify.add_argument("--start", type=int,
+                          help="first record index for resumable class-file runs (class files only)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance")

@@ -468,3 +468,25 @@ def test_verify_start_at_the_record_count_verifies_nothing(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path), "--start", "2")
     assert code == 0
     assert (kv(out)["records"], kv(out)["status"]) == ("0", "verified")
+
+
+@pytest.mark.parametrize(
+    "source,what",
+    [
+        (["--gen", "book", "--n", "4", "--seed", "1"], "--gen instances"),
+        (["@book"], "book files"),
+        (["@drawing"], "drawing files"),
+    ],
+    ids=["gen", "book", "drawing"],
+)
+@pytest.mark.parametrize("start", ["0", "9"])
+def test_verify_start_outside_a_class_file_is_refused(capsys, tmp_path, source, what, start):
+    book = tmp_path / "k4.book"
+    book.write_text(serialize_book(gen_book(4, 1)))
+    drawing = tmp_path / "k4.drawing"
+    drawing.write_text("drawing n=4\ncrossings:\n0-2 1-3\n")
+    files = {"@book": str(book), "@drawing": str(drawing)}
+    code, out, err = run(capsys, "verify", *(files.get(a, a) for a in source), "--start", start)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --start applies only to class files, not to {what}\n"

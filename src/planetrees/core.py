@@ -389,7 +389,7 @@ def induced_subdrawing(
     labels = None
     if d.vertex_labels is not None:
         labels = tuple(d.vertex_labels[v] for v in order)
-    sub = Drawing(k, frozenset(pairs), rotations, labels)
+    sub = Drawing.compiled(k, frozenset(pairs), rotations, labels)
     sub_coloring = None
     if c is not None:
         sub_coloring = EdgeColoring(k, c.k, tuple(c.colors[r] for r in ranks))

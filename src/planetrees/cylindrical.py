@@ -65,7 +65,7 @@ from .core import (
     mask_is_plane,
     tree_colors,
 )
-from .book import interleaving_crossings
+from .book import PAGE_TOP, BookLayout, interleaving_crossings, solve_book
 
 TURN = Fraction(2)  # full turn in units of pi
 
@@ -548,8 +548,6 @@ def _as_book_layout(layout: CylindricalLayout):
     edges land on one page, and circular interleaving equals linear
     interleaving, so the crossing sets agree.
     """
-    from .book import PAGE_TOP, BookLayout
-
     n = layout.n
     pages = tuple(PAGE_TOP for _ in range(n * (n - 1) // 2))
     return BookLayout(tuple(range(n)), pages, layout.color)
@@ -596,8 +594,6 @@ def reduce_and_solve(
 
     ``certify`` still checks the answer; a miss is a counterexample.
     """
-    from .book import solve_book
-
     if layout.color.k != 2:
         raise ValueError(f"reduction needs exactly 2 colors, got k={layout.color.k}")
     p, q = layout.n_inner, layout.n_outer

@@ -1,10 +1,21 @@
+import contextlib
+import dataclasses
+import io
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from planetrees import search
+from planetrees.cli import main
 from planetrees.core import (
+    EdgeColoring,
+    all_edges,
     edge,
     induced_subdrawing,
     is_plane,
@@ -20,18 +31,21 @@ from planetrees.cylindrical import (
     NotSimpleError,
     compile_layout,
     cycle_colors,
+    cycle_edges_of,
     first_side_edge,
     restrict_layout,
     rotation_order_check,
+    side_edge_tree,
     solve_cylindrical,
     sweep_start,
     sweep_round,
     sweep_run,
 )
 from planetrees.generators import gen_coloring, gen_cylindrical
+from planetrees.formats import load_instance, serialize_cylindrical
 from planetrees.search import enumerate_spanning_trees, find_plane_tree
 
-from conftest import coloring_from, fan_layout, side_crossing_count, uniform_coloring
+from conftest import coloring_from, fan_layout, nonspanning_fallback, side_crossing_count, uniform_coloring
 
 F = Fraction
 
@@ -556,3 +570,94 @@ def test_solver_matches_oracle(seed):
     assert is_spanning_tree(d.n, rep.tree)
     assert len(tree_colors(layout.color, rep.tree)) == 1
     assert find_plane_tree(d, layout.color, mode="monochromatic").status == "tree-found"
+
+
+# ----------------------------------------------------------------------
+# same-colored cycles with no side edge of their color
+# ----------------------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
+
+
+def cycles_colored(layout, c):
+    """The layout with both cycles in color c and every other edge in 1 - c."""
+    cycles = set(cycle_edges_of(layout.inner_ids()) + cycle_edges_of(layout.outer_ids()))
+    colors = tuple(c if e in cycles else 1 - c for e in all_edges(layout.n))
+    return dataclasses.replace(layout, color=EdgeColoring(layout.n, 2, colors))
+
+
+@pytest.mark.parametrize("size", [6, 20, 40])
+def test_cycles_of_one_color_solve_through_the_cli(tmp_path, size):
+    path = tmp_path / "cycles0.cyl"
+    path.write_text(serialize_cylindrical(cycles_colored(gen_cylindrical(size, size, 0), 0)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", "--class", "cylindrical", str(path)])
+    assert code == 0
+    assert "status: tree-found\n" in out.getvalue()
+    assert "tree-color: 1\n" in out.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    p=st.integers(2, 10),
+    q=st.integers(2, 10),
+    seed=st.integers(0, 10**6),
+    wrap_prob=st.sampled_from([0.15, 0.6]),
+    c=st.sampled_from([0, 1]),
+)
+def test_side_edge_tree_is_certified(p, q, seed, wrap_prob, c):
+    layout = cycles_colored(gen_cylindrical(p, q, seed, wrap_prob=wrap_prob), c)
+    d = compile_layout(layout)
+    rep = solve_cylindrical(layout)
+    assert rep.status == "tree-found", rep.witness
+    assert rep.all_invariants_passed
+    assert rep.witness["branch"] == "same-color-fallback"
+    assert rep.tree == side_edge_tree(layout)
+    assert is_plane(d, rep.tree) and is_spanning_tree(d.n, rep.tree)
+    assert tree_colors(layout.color, rep.tree) == {1 - c}
+    if layout.n <= 8:
+        assert nonspanning_fallback(d, layout.color).status == "tree-found"
+
+
+def construct_style_layouts(seed, count=34, n_lo=8, n_hi=24):
+    """The annulus layouts of the benchmark's construct workload: sizes
+    spread over n_lo..n_hi, and every other one with an inner cycle of
+    color 0 and an outer cycle of color 1."""
+    rng = random.Random(f"construct:{seed}")
+    for i in range(count):
+        n = n_lo + (n_hi - n_lo) * i // (count - 1)
+        p = n // 2 + rng.randint(-1, 1)
+        layout = gen_cylindrical(p, n - p, seed * 1000 + i)
+        if i % 2:
+            colors = layout.color.as_map()
+            for ids, c in ((layout.inner_ids(), 0), (layout.outer_ids(), 1)):
+                colors.update((e, c) for e in cycle_edges_of(ids))
+            layout = dataclasses.replace(layout, color=EdgeColoring.from_map(n, 2, colors))
+        yield layout
+
+
+def test_annulus_solver_never_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the annulus solver ran a spanning-tree search")
+
+    monkeypatch.setattr(search, "enumerate_spanning_trees", refuse)
+    monkeypatch.setattr(search, "find_plane_tree", refuse)
+    with open(GOLDEN, encoding="ascii") as fh:
+        files = json.load(fh)["files"]
+    layouts = []
+    for name, info in sorted(files.items()):
+        if name.endswith(".cyl"):
+            try:
+                layout = load_instance(info["text"], ("cylindrical",)).value
+                compile_layout(layout)
+            except ValueError:
+                continue  # a file that is not a simple layout never reaches the solver
+            layouts.append(layout)
+    layouts += [lay for seed in (1, 5, 7) for lay in construct_style_layouts(seed)]
+    layouts += [cycles_colored(gen_cylindrical(6, 6, 0), 0)]
+    assert len(layouts) > 150
+    for layout in layouts:
+        for assert_invariants in (False, True):
+            rep = solve_cylindrical(layout, assert_invariants)
+            assert rep.status == "tree-found", rep.witness

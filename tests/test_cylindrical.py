@@ -655,7 +655,6 @@ def test_annulus_solver_never_enumerates(monkeypatch):
                 continue  # a file that is not a simple layout never reaches the solver
             layouts.append(layout)
     layouts += [lay for seed in (1, 5, 7) for lay in construct_style_layouts(seed)]
-    layouts += [cycles_colored(gen_cylindrical(6, 6, 0), 0)]
     assert len(layouts) > 150
     for layout in layouts:
         for assert_invariants in (False, True):

@@ -3,11 +3,12 @@
 In a book drawing all vertices sit on a line (the spine) and every
 edge runs entirely above or below it.  Two edges cross exactly when
 they are on the same page and their endpoints interleave along the
-spine, which makes the compiled crossing set purely combinatorial.
-Compilation walks 4-subsets of spine positions rather than edge
-pairs: for positions a<b<c<d only the pairing (a,c)x(b,d) interleaves,
-so each 4-subset contributes at most one crossing, kept when both
-edges share a page.  The annulus compiler reuses this for its chords.
+spine, which makes the compiled crossings purely combinatorial.
+Compilation writes each edge's conflict row at once: for positions
+a<b<c<d only the pairing (a,c)x(b,d) interleaves, so the row of the
+edge at a, c is its page's edges with exactly one end strictly between
+them, a few big-integer operations on per-vertex incident-edge masks.
+The annulus compiler reuses this for its chords.
 
 The solver peels off vertices that are incident to uncrossed edges of
 both colors, takes the (necessarily monochromatic) residual spine
@@ -18,7 +19,7 @@ same-colored uncrossed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     Drawing,
@@ -26,10 +27,12 @@ from .core import (
     EdgeColoring,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
+    _edge_bits,
     all_edges,
     certify,
     edge,
     edge_index,
+    edge_table,
     induced_mask,
     peel_candidate,
 )
@@ -77,28 +80,26 @@ class BookLayout:
         return self.pages[edge_index(self.n, edge(*e))]
 
 
-def interleaving_crossings(order: Sequence[int], pages: Optional[list[list]] = None) -> list:
-    """Crossing pairs of edges drawn on one side of a line through ``order``.
-
-    Endpoints at positions a<b<c<d alternate only as (a,c)x(b,d), so
-    each 4-subset of positions yields at most that pair; it is kept when
-    ``pages[a][c] == pages[b][d]`` (a position-indexed matrix; None puts
-    every edge on one page, as for chords of a circle cut open).
+def interleaving_rows(n: int, rows: list[int], order: Sequence[int], page_of: Sequence[int]) -> None:
+    """Add to the conflict rows of K_n the crossings of the edges drawn on
+    one side of a line through the vertices ``order``; ``page_of[r]`` is
+    the mask of the edges on edge r's page.  Ends at positions a<b<c<d
+    alternate only as (a,c)x(b,d), so the edge at a, c crosses the edges
+    of its page with one end strictly between: the XOR of the incident
+    masks of the vertices between, less the edges at a or c.
     """
-    k = len(order)
-    pages = pages or [[None] * k] * k
-    edges = [[(x, y) if x < y else (y, x) for y in order] for x in order]  # by position
-    out = []
-    for a in range(k - 3):
-        for c in range(a + 2, k - 1):
-            e, page = edges[a][c], pages[a][c]
-            for b in range(a + 1, c):
-                row_b, edges_b = pages[b], edges[b]
-                for d in range(c + 1, k):
-                    if row_b[d] == page:
-                        f = edges_b[d]
-                        out.append((e, f) if e < f else (f, e))
-    return out
+    incident = [0] * n  # the edges at each vertex
+    for bit, (u, v) in zip(_edge_bits(n), edge_table(n)):
+        incident[u] |= bit
+        incident[v] |= bit
+    prefix = [0]  # prefix[i]: XOR of the incident masks of order[:i]
+    for v in order:
+        prefix.append(prefix[-1] ^ incident[v])
+    for a, x in enumerate(order):
+        for c in range(a + 2, len(order)):
+            y = order[c]
+            r = edge_index(n, (x, y) if x < y else (y, x))
+            rows[r] |= (prefix[c] ^ prefix[a + 1]) & ~(incident[x] | incident[y]) & page_of[r]
 
 
 def compile_book(layout: BookLayout) -> Drawing:
@@ -124,9 +125,11 @@ def compile_book(layout: BookLayout) -> Drawing:
             + [w for w in reversed(left) if row[w] == PAGE_BOTTOM]
             + [w for w in reversed(right) if row[w] == PAGE_BOTTOM]
         ))
-    by_position = [[page[u][w] for w in spine] for u in spine]
-    crossings = frozenset(interleaving_crossings(spine, by_position))
-    return Drawing.compiled(n, crossings, tuple(rotations), tuple(f"spine:{i}" for i in pos))
+    top = sum(bit for bit, pg in zip(_edge_bits(n), layout.pages) if pg == PAGE_TOP)
+    masks = {PAGE_TOP: top, PAGE_BOTTOM: (1 << len(layout.pages)) - 1 ^ top}
+    rows = [0] * len(layout.pages)
+    interleaving_rows(n, rows, spine, [masks[pg] for pg in layout.pages])
+    return Drawing.from_rows(n, rows, tuple(rotations), tuple(f"spine:{i}" for i in pos))
 
 
 def solve_book(layout: BookLayout) -> SolveReport:

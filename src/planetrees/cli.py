@@ -122,7 +122,7 @@ def cmd_validate(args) -> int:
     violations = validate_drawing(d)
     _emit("kind", inst.kind)
     _emit("n", d.n)
-    _emit("crossings", len(d.crossings))
+    _emit("crossings", sum(1 for _ in d.pairs()))
     for v in violations:
         _emit("violation", v)
     _emit("status", "ok" if not violations else f"{len(violations)} violations")

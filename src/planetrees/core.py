@@ -1,22 +1,22 @@
 """Combinatorial model of edge-colored simple drawings of K_n.
 
-A drawing is stored purely combinatorially: the set of crossing edge
-pairs plus (optionally) the rotation system.  Geometric layout classes
-(annulus, book, point set) live in their own modules and compile down
-to this representation; every solver consumes only the combinatorial
-data.
+A drawing is stored purely combinatorially: its crossings plus
+(optionally) the rotation system.  Geometric layout classes (annulus,
+book, point set) live in their own modules and compile down to this
+representation; every solver consumes only the combinatorial data.
 
 Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
-``frozenset`` of such tuples.  Solvers ask their questions through one
-index: ``Drawing.conflicts``, built on first use, holds for each edge
-rank (the lexicographic order of ``edge_table``) the bitmask of the
-edges crossing it.  An edge set is plane when no member's mask meets
-the set's own mask, and an edge is uncrossed among a vertex subset
-when its mask misses the subset's edges.  The same module holds the
-one peel step (``peel_candidate``) and the one output check
-(``certify``) the solvers share.  The certificate itself, ``is_plane``,
-scans the crossing pairs and never reads the index, so an answer is
-checked independently of the structure it was searched with.
+``frozenset`` of such tuples.  A drawing stores one index of its
+crossings, ``Drawing.conflicts``: for each edge rank (the lexicographic
+order of ``edge_table``) the bitmask of the edges crossing it, written
+directly by the parser and the layout compilers; the crossing pairs
+are a view that no parse, solve or verify path builds.  An edge set is
+plane when no member's row meets the set's own mask, and an edge is
+uncrossed among a vertex subset when its row misses the subset's
+edges.  The same module holds the one peel step (``peel_candidate``)
+and the one output check (``certify``) the solvers share.  Its
+``is_plane`` tests the tree edges pair by pair against the rows, never
+through ``mask_is_plane``, the test the searches use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, int]
 EdgeSet = frozenset[Edge]
@@ -78,23 +78,14 @@ def crossing_pair(e: Edge, f: Edge) -> CrossingPair:
     return (e, f) if e <= f else (f, e)
 
 
-def _canonical_pairs(crossings) -> bool:
-    """True when ``crossings`` is a frozenset that rebuilding with
-    ``crossing_pair(edge(...), edge(...))`` would leave unchanged."""
-    if type(crossings) is not frozenset:
-        return False
-    try:
-        for p in crossings:
-            e, f = p
-            u, v = e
-            x, y = f
-            if not (u < v and x < y and (u < x or u == x and v <= y)):
-                return False
-            if type(p) is not tuple or type(e) is not tuple or type(f) is not tuple:
-                return False
-    except (TypeError, ValueError):
-        return False
-    return True
+def row_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Rank pairs (r, s), r <= s, of the set bits s of each row r, sorted."""
+    for r, row in enumerate(rows):
+        row >>= r
+        while row:
+            low = row & -row
+            yield r, r + low.bit_length() - 1
+            row ^= low
 
 
 def _canonical_rotation(rot: Iterable[int]) -> tuple[int, ...]:
@@ -106,16 +97,21 @@ def _canonical_rotation(rot: Iterable[int]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Drawing:
-    """Simple drawing of K_n given by its crossing pairs and rotations.
+    """Simple drawing of K_n given by its crossings and rotations.
 
-    ``crossings`` holds unordered pairs of independent edges that cross
-    (at most once each, per simplicity).  ``rotations``, when present,
-    gives for each vertex the circular counterclockwise order of the
-    other vertices; it is canonicalized to start at the smallest
-    neighbor index.  ``vertex_labels`` carries optional role tags such
-    as ``inner``/``outer`` for annulus layouts.
+    The one stored index is ``conflicts``, one crossing bitmask per edge
+    rank.  ``Drawing(n, crossings, ...)`` is the checked constructor from
+    unordered pairs of crossing edges; ``from_rows`` takes rows as the
+    parser and the layout compilers write them.  ``crossings``, the set
+    of canonical pairs, is a view built from the rows on first use, and
+    equality and hashing compare it.  A pair with an edge outside K_n
+    has no row: the drawing keeps its pairs, ``validate_drawing``
+    reports the edge, and reading ``conflicts`` raises ValueError.
+    ``rotations``, when present, give each vertex's counterclockwise
+    order of the others, canonicalized to start at the smallest one;
+    ``vertex_labels`` are role tags such as ``inner``/``outer``.
     """
 
     n: int
@@ -123,42 +119,55 @@ class Drawing:
     rotations: Optional[tuple[tuple[int, ...], ...]] = None
     vertex_labels: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
-        if not _canonical_pairs(self.crossings):
-            pairs = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in self.crossings)
-            object.__setattr__(self, "crossings", pairs)
-        if self.rotations is not None:
-            canon = tuple(_canonical_rotation(r) for r in self.rotations)
-            object.__setattr__(self, "rotations", canon)
+    def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
+        self._set(n, rotations, vertex_labels)
+        self.__dict__["crossings"] = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in crossings)
+        try:
+            self.conflicts
+        except ValueError:  # an edge outside K_n has no row: the pairs stay
+            return
+        del self.__dict__["crossings"]  # the rows are the one stored index
+
+    def _set(self, n: int, rotations, vertex_labels) -> None:
+        canon = None if rotations is None else tuple(_canonical_rotation(r) for r in rotations)
+        self.__dict__.update(n=n, rotations=canon, vertex_labels=vertex_labels)
 
     @classmethod
-    def compiled(cls, n: int, crossings: frozenset[CrossingPair], rotations, vertex_labels) -> "Drawing":
-        """A layout compiler's drawing, whose crossings are canonical pairs
-        by construction: the pair check that parsed input goes through
-        is skipped, and rotations are canonicalized as usual."""
-        d = cls(n, frozenset(), rotations, vertex_labels)
-        object.__setattr__(d, "crossings", crossings)
+    def from_rows(cls, n: int, rows: Sequence[int], rotations=None, vertex_labels=None) -> "Drawing":
+        """A drawing from its conflict rows, ``rows[r]`` the crossing
+        bitmask of edge rank r; the rows must be symmetric."""
+        d = cls.__new__(cls)
+        d._set(n, rotations, vertex_labels)
+        d.__dict__["conflicts"] = tuple(rows)
         return d
 
     @functools.cached_property
     def conflicts(self) -> tuple[int, ...]:
-        """Bitmask of the edges crossing each edge, in ``edge_index`` order.
-
-        Built on first use and kept outside the dataclass fields, so
-        equality, hashing and serialization never see it.  Raises
-        ValueError when a crossing pair has an edge outside K_n.
-        """
+        """Bitmask of the edges crossing each edge, in ``edge_index`` order;
+        built from the pairs once.  Raises ValueError when a pair has an
+        edge outside K_n."""
         rank, bits = _edge_ranks(self.n), _edge_bits(self.n)
-        out = [0] * len(bits)
+        rows = [0] * len(bits)
         for pair in self.crossings:
             try:
                 i, j = rank[pair[0]], rank[pair[1]]
             except KeyError:
                 u, v = next(e for e in pair if e not in rank)
                 raise ValueError(f"crossing edge {u}-{v} out of range for n={self.n}") from None
-            out[i] |= bits[j]
-            out[j] |= bits[i]
-        return tuple(out)
+            rows[i] |= bits[j]
+            rows[j] |= bits[i]
+        return tuple(rows)
+
+    @functools.cached_property
+    def crossings(self) -> frozenset[CrossingPair]:  # noqa: F811 - the view behind the field
+        return frozenset(self.pairs())
+
+    def pairs(self) -> Iterator[CrossingPair]:
+        """The crossing pairs in sorted order, read off the rows."""
+        if "conflicts" not in self.__dict__:  # pairs kept: an edge lies outside K_n
+            return iter(sorted(self.crossings))
+        table = edge_table(self.n)
+        return ((table[r], table[s]) for r, s in row_pairs(self.conflicts))
 
 
 @dataclass(frozen=True)
@@ -245,7 +254,7 @@ def validate_drawing(d: Drawing) -> list[str]:
     if d.n < 1:
         violations.append(f"vertex count {d.n} < 1")
         return violations
-    for e, f in sorted(d.crossings):
+    for e, f in d.pairs():
         for u, v in (e, f):
             if not (0 <= u < v < d.n):
                 violations.append(f"edge {u}-{v} out of range for n={d.n}")
@@ -265,11 +274,11 @@ def validate_drawing(d: Drawing) -> list[str]:
 
 
 def is_plane(d: Drawing, s: EdgeSet) -> bool:
-    """True iff no crossing pair of the drawing lies entirely inside s."""
-    for e, f in d.crossings:
-        if e in s and f in s:
-            return False
-    return True
+    """True iff no two edges of s (nor one edge with itself) cross,
+    tested pair by pair against the drawing's rows."""
+    rank, rows = _edge_ranks(d.n), d.conflicts
+    ranks = [rank[e] for e in s if e in rank]
+    return not any(rows[i] >> j & 1 for i, j in itertools.combinations_with_replacement(ranks, 2))
 
 
 def edge_mask(n: int, edges: Iterable[Edge]) -> int:
@@ -329,24 +338,24 @@ def peel_candidate(
 
 
 def is_spanning_tree(n: int, s: EdgeSet) -> bool:
-    """True iff s has n-1 edges and connects all n vertices."""
-    if len(s) != n - 1:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in s:
-        if not (0 <= u < v < n):
-            return False
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
+    """True iff s has n-1 edges of K_n and connects all n vertices."""
+    return len(s) == n - 1 and all(0 <= u < v < n for u, v in s) and spans(n, edge_mask(n, s))
+
+
+def spans(n: int, mask: int) -> bool:
+    """True iff the edges of the bitmask connect all n vertices."""
+    adjacent = [0] * n
+    for bit, (u, v) in zip(_edge_bits(n), edge_table(n)):
+        if mask & bit:
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        new = adjacent[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier ^= low | new
+    return seen == (1 << n) - 1
 
 
 def induced_subdrawing(
@@ -368,18 +377,18 @@ def induced_subdrawing(
             raise ValueError(f"vertex {v} out of range for n={d.n}")
     k = len(order)
     rank, conflicts = _edge_ranks(d.n), d.conflicts
-    # Old rank -> new edge for every kept edge, keyed by its bit.
-    new_edges = edge_table(k)
-    ranks = [rank[edge(order[i], order[j])] for i, j in new_edges]
-    by_bit = {1 << r: e for r, e in zip(ranks, new_edges)}
-    kept = sum(by_bit)
-    pairs = []
-    for r, e in zip(ranks, new_edges):
-        rest = conflicts[r] & kept & ~((2 << r) - 1)  # each pair once, from its lower rank
+    # Old rank of every kept edge, in new rank order; rows keep the kept bits, renumbered.
+    ranks = [rank[edge(order[i], order[j])] for i, j in edge_table(k)]
+    new_bit = {1 << r: bit for r, bit in zip(ranks, _edge_bits(k))}
+    kept = sum(new_bit)
+    rows = []
+    for r in ranks:
+        rest, row = conflicts[r] & kept, 0
         while rest:
             low = rest & -rest
-            pairs.append(crossing_pair(e, by_bit[low]))
+            row |= new_bit[low]
             rest ^= low
+        rows.append(row)
     rotations = None
     if d.rotations is not None:
         index = {v: i for i, v in enumerate(order)}
@@ -389,7 +398,7 @@ def induced_subdrawing(
     labels = None
     if d.vertex_labels is not None:
         labels = tuple(d.vertex_labels[v] for v in order)
-    sub = Drawing.compiled(k, frozenset(pairs), rotations, labels)
+    sub = Drawing.from_rows(k, rows, rotations, labels)
     sub_coloring = None
     if c is not None:
         sub_coloring = EdgeColoring(k, c.k, tuple(c.colors[r] for r in ranks))

@@ -11,7 +11,7 @@ pi, so crossing counts are closed-form integer computations:
 * same-circle edges cross iff their endpoints interleave on the circle
   (chords inside the inner circle, arcs outside the outer one); a circle
   cut open is a one-page book, so these come from the book compiler's
-  4-subset rule;
+  interleaving rows;
 * two side edges cross once per integer multiple of a full turn lying
   strictly between their angular differences at the two circles, so
   each side pair costs two integer floor divisions;
@@ -24,6 +24,7 @@ edges would meet at all, are rejected as not simple.
 Validation and compilation put all angles and windings over one common
 denominator once (``CylindricalLayout.ticks``) and work in those integer
 ticks; ``Fraction`` values appear only as the layout's fields and in files.
+Compilation writes the drawing's conflict rows directly.
 
 The solver sweeps back and forth over the side edges: it grows an
 active caterpillar subgraph H by walking the rotation of a current
@@ -45,6 +46,7 @@ integer ticks with no search.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,14 +60,17 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
+    _edge_bits,
     certify,
     edge,
+    edge_index,
     edge_mask,
     extract_spanning_tree,
+    induced_mask,
     mask_is_plane,
     tree_colors,
 )
-from .book import PAGE_TOP, BookLayout, interleaving_crossings, solve_book
+from .book import PAGE_TOP, BookLayout, interleaving_rows, solve_book
 
 TURN = Fraction(2)  # full turn in units of pi
 
@@ -185,7 +190,14 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
     p, q, n = layout.n_inner, layout.n_outer, layout.n
     den, inner, _, ticks = layout.ticks
     sides = [((u, w), a, a + t) for u, a in enumerate(inner) for w, t in enumerate(ticks[u], p)]
-    crossings = interleaving_crossings(range(p)) + interleaving_crossings(range(p, n)) + side_crossings(sides, 2 * den)
+    rows = [0] * (n * (n - 1) // 2)
+    for circle in (range(p), range(p, n)):
+        interleaving_rows(n, rows, circle, [induced_mask(n, circle)] * len(rows))
+    rank, bits = {e: edge_index(n, e) for e, _, _ in sides}, _edge_bits(n)
+    for e, f in side_crossings(sides, 2 * den):
+        i, j = rank[e], rank[f]
+        rows[i] |= bits[j]
+        rows[j] |= bits[i]
 
     # Counterclockwise rotations.  At either circle the side edges take
     # off tilted by the arctangent of their winding, so they appear by
@@ -200,7 +212,7 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
         sides_v = sorted(range(p), key=lambda u: ticks[u][j])
         rotations.append(tuple(sides_v + [p + (j - s) % q for s in range(1, q)]))
     labels = tuple("inner" if v < p else "outer" for v in range(n))
-    return Drawing.compiled(n, frozenset(crossings), tuple(rotations), labels)
+    return Drawing.from_rows(n, rows, tuple(rotations), labels)
 
 
 def cycle_edges_of(ids: list[int]) -> list[Edge]:
@@ -523,22 +535,14 @@ def restrict_layout(
     p = layout.n_inner
     keep_inner = [v for v in sorted(keep) if v < p]
     keep_outer = [v for v in sorted(keep) if v >= p]
-    mapping = {v: i for i, v in enumerate(keep_inner + keep_outer)}
+    kept = keep_inner + keep_outer  # increasing, so pairs of kept come in new rank order
+    mapping = {v: i for i, v in enumerate(kept)}
     inner_angles = tuple(layout.inner_angles[v] for v in keep_inner)
     outer_angles = tuple(layout.outer_angles[v - p] for v in keep_outer)
-    windings = tuple(
-        tuple(layout.windings[u][w - p] for w in keep_outer) for u in keep_inner
-    )
-    color_map = {}
-    kept = keep_inner + keep_outer
-    for i, u in enumerate(kept):
-        for w in kept[i + 1 :]:
-            color_map[edge(mapping[u], mapping[w])] = layout.color.color_of(u, w)
-    coloring = EdgeColoring.from_map(len(kept), layout.color.k, color_map)
-    return (
-        CylindricalLayout(inner_angles, outer_angles, windings, coloring),
-        mapping,
-    )
+    windings = tuple(tuple(layout.windings[u][w - p] for w in keep_outer) for u in keep_inner)
+    colors = tuple(layout.color.colors[edge_index(layout.n, e)] for e in itertools.combinations(kept, 2))
+    coloring = EdgeColoring(len(kept), layout.color.k, colors)
+    return CylindricalLayout(inner_angles, outer_angles, windings, coloring), mapping
 
 
 def _as_book_layout(layout: CylindricalLayout):
@@ -631,8 +635,10 @@ def reduce_and_solve(
         else:
             alive_outer.remove(v)
 
-    keep = alive_inner + alive_outer
-    sub_layout, mapping = restrict_layout(layout, keep)
+    if removed:
+        sub_layout, mapping = restrict_layout(layout, alive_inner + alive_outer)
+    else:  # nothing removed: the sub-layout would equal the layout
+        sub_layout, mapping = layout, {v: v for v in range(layout.n)}
     inv_map = {new: old for old, new in mapping.items()}
     inner_c, outer_c = cycle_colors(sub_layout)
     checked: list[tuple[str, bool]] = []
@@ -647,14 +653,8 @@ def reduce_and_solve(
         branch = "sweep"
     elif inner_c is not None and inner_c == outer_c:
         c = inner_c
-        side = None
-        for u in sub_layout.inner_ids():
-            for w in sub_layout.outer_ids():
-                if sub_layout.color.color_of(u, w) == c:
-                    side = edge(u, w)
-                    break
-            if side is not None:
-                break
+        side = next((edge(u, w) for u in sub_layout.inner_ids() for w in sub_layout.outer_ids()
+                     if sub_layout.color.color_of(u, w) == c), None)
         if side is not None:
             sub = frozenset(
                 cycle_edges_of(sub_layout.inner_ids())

@@ -6,7 +6,9 @@ integers or plain rationals.  Serialization is canonical (edges and
 crossing pairs sorted, rotations starting at the smallest neighbor),
 so ``parse(serialize(x)) == x`` holds for every value.  Writers format
 edges from per-n tables in ``edge_table`` order: ``_edge_labels``
-(``u-v``) and ``_color_prefixes`` (``e u v : ``).
+(``u-v``) and ``_color_prefixes`` (``e u v : ``).  Crossings go straight
+between text and a drawing's conflict rows: writers walk the rows in
+rank order, readers look each ``u-v`` token up in the labels' ranks.
 
 Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
 
@@ -53,7 +55,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence, Union
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
-from .core import Drawing, Edge, EdgeColoring, _edge_ranks, all_edges, crossing_pair, edge, edge_table
+from .core import Drawing, Edge, EdgeColoring, _edge_bits, all_edges, edge, edge_index, edge_table, row_pairs
 from .cylindrical import CylindricalLayout, compile_layout
 from .straightline import PointDrawing, compile_points
 
@@ -130,6 +132,28 @@ def _parse_edge_token(line_no: int, token: str, n: int) -> Edge:
     return edge(u, v)
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_label_ranks(n: int) -> dict[str, int]:
+    return {label: r for r, label in enumerate(_edge_labels(n))}
+
+
+def _add_crossing(rows: list[int], line_no: int, text: str, n: int, adjacent_ok: bool = True) -> None:
+    """Set the row bits of the crossing pair ``u-v w-x`` in ``text``.  A
+    token other than a canonical ``u-v`` goes through ``_parse_edge_token``,
+    which names what is wrong with it; a bit already set is a duplicate."""
+    toks = text.split()
+    if len(toks) != 2:
+        raise ParseError(line_no, f"expected crossing pair 'u-v w-x', got {text!r}")
+    ranks = _edge_label_ranks(n)
+    i, j = (ranks[t] if t in ranks else edge_index(n, _parse_edge_token(line_no, t, n)) for t in toks)
+    if not adjacent_ok and set(edge_table(n)[i]) & set(edge_table(n)[j]):
+        raise ParseError(line_no, f"adjacent edges cannot cross: {text!r}")
+    if rows[i] >> j & 1:
+        raise ParseError(line_no, f"duplicate crossing pair {text!r}")
+    rows[i] |= 1 << j
+    rows[j] |= 1 << i
+
+
 def parse_fraction(line_no: int, token: str) -> Fraction:
     try:
         if "/" in token:
@@ -182,12 +206,9 @@ def _serialize_color_lines(c: EdgeColoring) -> list[str]:
 
 
 def _crossing_lines(d: Drawing) -> list[str]:
-    """``u-v w-x`` per crossing pair, sorted: rank order is lexicographic,
-    so the integer key ``rank(e)*m + rank(f)`` sorts like the pairs."""
-    labels, rank = _edge_labels(d.n), _edge_ranks(d.n)
-    m = len(labels)
-    keys = sorted(rank[e] * m + rank[f] for e, f in d.crossings)
-    return [f"{labels[key // m]} {labels[key % m]}" for key in keys]
+    """``u-v w-x`` per crossing pair, sorted: rank order is lexicographic."""
+    labels = _edge_labels(d.n)
+    return [f"{labels[r]} {labels[s]}" for r, s in row_pairs(d.conflicts)]
 
 
 def _parse_colors_section(lines: _Lines, n: int) -> EdgeColoring:
@@ -232,7 +253,7 @@ def parse_drawing(
     lines = _Lines(text)
     line_no, line = lines.next()
     (n,) = _parse_header_fields(line_no, line, "drawing", ["n"])
-    crossings: set = set()
+    rows = [0] * len(_edge_bits(n))
     rotations: Optional[list] = None
     labels: Optional[dict[int, str]] = None
     x_order: Optional[tuple[int, ...]] = None
@@ -240,7 +261,8 @@ def parse_drawing(
     section = None
     while not lines.exhausted:
         line_no, line = lines.next()
-        head = line.split()[0]
+        toks = line.split()
+        head = toks[0]
         if head == "crossings:":
             section = "crossings"
             continue
@@ -253,8 +275,7 @@ def parse_drawing(
             labels = {}
             continue
         if head == "xorder:":
-            toks = line.split()[1:]
-            x_order = tuple(_parse_int(line_no, t, "vertex") for t in toks)
+            x_order = tuple(_parse_int(line_no, t, "vertex") for t in toks[1:])
             if sorted(x_order) != list(range(n)):
                 raise ParseError(line_no, "xorder must be a permutation of the vertices")
             section = None
@@ -265,15 +286,7 @@ def parse_drawing(
             section = None
             continue
         if section == "crossings":
-            toks = line.split()
-            if len(toks) != 2:
-                raise ParseError(line_no, f"expected crossing pair 'u-v w-x', got {line!r}")
-            e = _parse_edge_token(line_no, toks[0], n)
-            f = _parse_edge_token(line_no, toks[1], n)
-            pair = crossing_pair(e, f)
-            if pair in crossings:
-                raise ParseError(line_no, f"duplicate crossing pair {line!r}")
-            crossings.add(pair)
+            _add_crossing(rows, line_no, line, n)
             continue
         if section == "rotations":
             v_tok, _, rest = line.partition(":")
@@ -302,7 +315,7 @@ def parse_drawing(
         if sorted(labels) != list(range(n)):
             raise ParseError(0, "labels section must cover every vertex")
         label_tuple = tuple(labels[v] for v in range(n))
-    return Drawing(n, frozenset(crossings), rot_tuple, label_tuple), coloring, x_order
+    return Drawing.from_rows(n, rows, rot_tuple, label_tuple), coloring, x_order
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +531,11 @@ def parse_classes(text: str) -> list[Drawing]:
         if not sep:
             raise ParseError(line_no, "expected 'n;<crossing pairs>'")
         n = _parse_int(line_no, head.strip(), "vertex count")
-        crossings = set()
+        rows = [0] * len(_edge_bits(n))
         rest = rest.strip()
         for chunk in rest.split(",") if rest else []:
-            toks = chunk.split()
-            if len(toks) != 2:
-                raise ParseError(line_no, f"expected crossing pair 'u-v w-x', got {chunk!r}")
-            e = _parse_edge_token(line_no, toks[0], n)
-            f = _parse_edge_token(line_no, toks[1], n)
-            if set(e) & set(f):
-                raise ParseError(line_no, f"adjacent edges cannot cross: {chunk!r}")
-            pair = crossing_pair(e, f)
-            if pair in crossings:
-                raise ParseError(line_no, f"duplicate crossing pair {chunk!r}")
-            crossings.add(pair)
-        drawings.append(Drawing(n, frozenset(crossings)))
+            _add_crossing(rows, line_no, chunk, n, adjacent_ok=False)
+        drawings.append(Drawing.from_rows(n, rows))
     return drawings
 
 

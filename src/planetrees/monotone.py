@@ -30,6 +30,7 @@ from .core import (
     certify,
     edge,
     edge_index,
+    edge_mask,
     edge_table,
     induced_subdrawing,
     tree_colors,
@@ -171,11 +172,10 @@ def solve_monotone(
         group_trees.append(sorted(mapped))
         union |= mapped
 
-    # Edges of distinct groups never cross: x-slab disjointness.
-    owner = {e: gi for gi, t in enumerate(group_trees) for e in t}
-    slab_ok = not any(
-        e in owner and f in owner and owner[e] != owner[f] for e, f in dr.drawing.crossings
-    )
+    # Edges of distinct groups never cross: x-slab disjointness.  Groups share no edge.
+    masks = [edge_mask(n, t) for t in group_trees]
+    conflicts, total = dr.drawing.conflicts, sum(masks)
+    slab_ok = not any(conflicts[edge_index(n, e)] & (total ^ mask) for t, mask in zip(group_trees, masks) for e in t)
     return certify(
         dr.drawing,
         c,

@@ -6,7 +6,8 @@ once and "first tree found" is deterministic (lexicographic sequence
 order).  On top of the enumeration sit two users:
 
 * ``find_plane_tree`` — first plane spanning tree satisfying a color
-  predicate (monochromatic / avoid one color / hypochromatic);
+  predicate (monochromatic / avoid one color / hypochromatic), after
+  dropping every colour region that does not connect the vertices;
 * ``verify_all_colorings`` — for a fixed small drawing, confirm that
   every 2-edge-coloring (up to swapping the two colors) admits a
   monochromatic plane spanning tree.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -47,6 +49,7 @@ from .core import (
     is_plane,
     is_spanning_tree,
     mask_is_plane,
+    spans,
 )
 
 ENUMERATION_LIMIT = 10
@@ -86,7 +89,8 @@ def enumerate_spanning_trees(n: int, allow_large: bool = False) -> Iterator[Edge
     """Yield every labeled spanning tree of K_n exactly once.
 
     Streams n^(n-2) trees in lexicographic order of their defining
-    vertex sequences.  Refuses n > 10 unless ``allow_large`` is set.
+    vertex sequences.  Refuses n > 10 unless ``allow_large`` is set;
+    the refusal comes at the call, before any tree is made.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -95,19 +99,7 @@ def enumerate_spanning_trees(n: int, allow_large: bool = False) -> Iterator[Edge
             f"refusing to enumerate n^(n-2) = {n}^{n - 2} spanning trees for n={n}; "
             f"pass allow_large=True to override"
         )
-    if n == 2:
-        yield frozenset({(0, 1)})
-        return
-    seq = [0] * (n - 2)
-    while True:
-        yield _decode_tree(n, tuple(seq))
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
+    return (_decode_tree(n, seq) for seq in itertools.product(range(n), repeat=n - 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -117,8 +109,7 @@ def _tree_masks(n: int) -> tuple[int, ...]:
 
 
 def _mask_to_edges(n: int, mask: int) -> EdgeSet:
-    ranked = edge_table(n)
-    return frozenset(e for i, e in enumerate(ranked) if mask >> i & 1)
+    return frozenset(e for i, e in enumerate(edge_table(n)) if mask >> i & 1)
 
 
 def _iter_tree_masks(n: int, allow_large: bool) -> Iterator[int]:
@@ -138,10 +129,11 @@ def find_plane_tree(
 
     ``mode`` is one of ``monochromatic`` (one color; a specific one if
     ``color`` is given), ``avoid`` (no edge of ``color``), or
-    ``hypochromatic`` (at least one of the k colors unused).  The tree
-    found is certified by ``is_plane`` and ``is_spanning_tree``, not by
-    the conflict index the scan used.  Returns a counterexample report
-    when the exhaustive scan finds nothing or the certificate fails.
+    ``hypochromatic`` (at least one of the k colors unused), scanning
+    only the colour regions that connect all n vertices.  The tree found
+    is certified by ``is_plane`` and ``is_spanning_tree``, not by
+    ``mask_is_plane``, the test the scan used.  Returns a counterexample
+    report when the scan finds nothing or the certificate fails.
     """
     if mode not in ("monochromatic", "avoid", "hypochromatic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -154,37 +146,23 @@ def find_plane_tree(
     class_masks = [0] * c.k
     for i, col in enumerate(c.colors):
         class_masks[col] |= 1 << i
-
-    def satisfies(mask: int) -> Optional[frozenset[int]]:
-        # Returns the avoided color set on success, None otherwise.
-        if mode == "monochromatic":
-            if color is not None:
-                if mask & ~class_masks[color] == 0:
-                    return frozenset(range(c.k)) - {color}
-                return None
-            for col, cm in enumerate(class_masks):
-                if mask & ~cm == 0:
-                    return frozenset(range(c.k)) - {col}
-            return None
-        if mode == "avoid":
-            if mask & class_masks[color] == 0:
-                return frozenset({color})
-            return None
-        used = {col for col, cm in enumerate(class_masks) if mask & cm}
-        if len(used) < c.k:
-            return frozenset(range(c.k)) - used
-        return None
-
-    for mask in _iter_tree_masks(n, allow_large):
-        avoided = satisfies(mask)
-        if avoided is None:
+    # A tree may lie in a colour class, or in a class's complement; a region
+    # that does not connect the n vertices holds none, so it is dropped.
+    trees = _iter_tree_masks(n, allow_large)
+    chosen = range(c.k) if color is None or mode == "hypochromatic" else (color,)
+    full = (1 << len(c.colors)) - 1
+    regions = [class_masks[col] if mode == "monochromatic" else full ^ class_masks[col] for col in chosen]
+    regions = [region for region in regions if spans(n, region)]
+    for mask in trees if regions else ():
+        if not any(mask & region == mask for region in regions):
             continue
         if mask_is_plane(mask, conflicts):
             tree = _mask_to_edges(n, mask)
             checks = (("plane", is_plane(d, tree)), ("spanning-tree", is_spanning_tree(n, tree)))
             witness = {"mode": mode, "color": color}
             if all(ok for _, ok in checks):
-                return SolveReport(STATUS_TREE_FOUND, tree, avoided, checks, witness)
+                avoided = {color} if mode == "avoid" else {col for col, cm in enumerate(class_masks) if not mask & cm}
+                return SolveReport(STATUS_TREE_FOUND, tree, frozenset(avoided), checks, witness)
             failure = {"reason": "output predicates failed", **witness}
             return SolveReport(STATUS_COUNTEREXAMPLE, tree, frozenset(), checks, failure)
     return SolveReport(

@@ -4,11 +4,11 @@ Points are kept on an integer (or rational) grid and every geometric
 decision runs through exact sign-of-determinant orientation tests, so
 the compiled crossing set is free of floating-point artifacts.  The
 inputs must be in general position: no three collinear points and
-pairwise distinct x-coordinates.  Compilation computes one orientation
-table over all triples (the order type of the point set) and reads
-everything off it: each 4-subset's single crossing pairing, if any,
-from the orientations of its four triples, and each vertex's rotation
-from the orientations of the triples through it.
+pairwise distinct x-coordinates.  Compilation takes one orientation
+sign per triple into a half-plane table (``half_planes``: for each
+ordered pair, the bitmask of the points left of it) and reads the
+drawing off it: each edge's conflict row as one masked, shifted bitmask
+per third point, and each vertex's rotation from popcounts.
 
 The solver works by induction on the vertex set.  If some vertex has
 uncrossed edges of both colors it is peeled off and re-attached later.
@@ -72,81 +72,88 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return (val > 0) - (val < 0)
 
 
-def orientation_table(points: Sequence[Point]) -> list[list[list[int]]]:
-    """``o[i][j][k] = orient(points[i], points[j], points[k])`` for all triples.
+def half_planes(points: Sequence[Point]) -> list[list[int]]:
+    """``L[i][j]``: bitmask of the points strictly left of the line i->j.
 
+    One exact orientation sign per triple i<j<k fills three entries.
     Raises ValueError unless the points are in general position: a
     repeated x-coordinate, else the first collinear triple i<j<k.
     """
     n = len(points)
     if len({x for x, _ in points}) != n:
         raise ValueError("duplicate x-coordinate among points")
-    o = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
+    left = [[0] * n for _ in range(n)]
+    for i, (ax, ay) in enumerate(points):
         for j in range(i + 1, n):
+            dx, dy = points[j][0] - ax, points[j][1] - ay
             for k in range(j + 1, n):
-                s = orient(points[i], points[j], points[k])
+                s = dx * (points[k][1] - ay) - dy * (points[k][0] - ax)
                 if s == 0:
                     raise ValueError(f"collinear points {i}, {j}, {k}")
-                o[i][j][k] = o[j][k][i] = o[k][i][j] = s
-                o[i][k][j] = o[k][j][i] = o[j][i][k] = -s
-    return o
+                if s > 0:  # k left of i->j, i left of j->k, j left of k->i
+                    left[i][j] |= 1 << k
+                    left[j][k] |= 1 << i
+                    left[k][i] |= 1 << j
+                else:
+                    left[j][i] |= 1 << k
+                    left[k][j] |= 1 << i
+                    left[i][k] |= 1 << j
+    return left
 
 
 def check_general_position(points: Sequence[Point]) -> None:
-    """Raise orientation_table's ValueError unless in general position."""
-    orientation_table(points)
+    """Raise half_planes's ValueError unless in general position."""
+    half_planes(points)
 
 
-def _rotation(points: Sequence[Point], o: list[list[list[int]]], v: int) -> tuple[int, ...]:
+def _rotation(points: Sequence[Point], left: list[list[int]], v: int) -> tuple[int, ...]:
     """Counterclockwise order of the other points around point v.
 
     The half-plane from angle 0 (inclusive) to pi comes first, then the
-    other; inside a half, w1 precedes w2 iff orient(v, w1, w2) > 0, so
-    the rank of w is the number of its half with orient(v, w, .) < 0.
+    other; inside a half, w1 precedes w2 iff w2 is left of v->w1, so the
+    rank of w is the number of its half left of w->v.
     """
     x, y = points[v]
-    halves: tuple[list[int], list[int]] = ([], [])
+    halves = [0, 0]
     for w, (wx, wy) in enumerate(points):
         if w != v:
-            halves[0 if wy > y or (wy == y and wx > x) else 1].append(w)
+            halves[0 if wy > y or (wy == y and wx > x) else 1] |= 1 << w
     rot: list[int] = []
     for half in halves:
-        ranked = [0] * len(half)
-        for w in half:
-            ranked[(len(half) - 1 - sum(map(o[v][w].__getitem__, half))) // 2] = w
+        ranked = [0] * half.bit_count()
+        for w in range(len(points)):
+            if half >> w & 1:
+                ranked[(half & left[w][v]).bit_count()] = w
         rot += ranked
     return tuple(rot)
 
 
 def compile_points(p: PointDrawing) -> Drawing:
-    """Crossing set and rotations from the orientation table.
+    """Conflict rows and rotations from the half-plane table."""
+    return _compile(p.points, half_planes(p.points))
 
-    Of the pairings ab|cd, ac|bd, ad|bc of a 4-subset a<b<c<d at most
-    one crosses.  Two segments cross iff each separates the other's
-    ends; written with the signs of the sorted triples abc, abd, acd and
-    bcd, that gives the three tests below.
-    """
-    o, n = orientation_table(p.points), p.n
-    edges = [[(u, w) for w in range(n)] for u in range(n)]  # edges[u][w] for u < w
-    crossings = []
+
+def _compile(points: Sequence[Point], left: list[list[int]]) -> Drawing:
+    """Segments ab and cd cross iff each separates the other's ends.  For
+    the edge (a, b) and a point c, the d > c with (c, d) crossing it are
+    the points on the side of ab opposite c that lie in L[c][a] XOR
+    L[c][b], the set where a and b fall on different sides of c->d; read
+    as edge ranks, they are one shifted bitmask per c."""
+    n = len(points)
+    base = [edge_index(n, (c, c + 1)) for c in range(n)]
+    rows = []
     for a in range(n):
         for b in range(a + 1, n):
-            oab, ob, ea, eb = o[a][b], o[b], edges[a], edges[b]
-            for c in range(b + 1, n):
-                abc, oac, obc, ec = oab[c], o[a][c], ob[c], edges[c]
-                for d in range(c + 1, n):
-                    abd, acd, bcd = oab[d], oac[d], obc[d]
-                    if abc != abd and acd != bcd:
-                        crossings.append((ea[b], ec[d]))
-                    elif abc == acd and abd == bcd:
-                        crossings.append((ea[c], eb[d]))
-                    elif abd != acd and abc != bcd:
-                        crossings.append((ea[d], eb[c]))
-    rotations = tuple(_rotation(p.points, o, v) for v in range(n))
-    rank = {v: r for r, v in enumerate(x_order(p.points))}
+            sides, row = (left[a][b], left[b][a]), 0
+            for c in range(n):
+                if c != a and c != b:
+                    far = sides[1] if sides[0] >> c & 1 else sides[0]
+                    row |= ((far & (left[c][a] ^ left[c][b])) >> (c + 1)) << base[c]
+            rows.append(row)
+    rotations = tuple(_rotation(points, left, v) for v in range(n))
+    rank = {v: r for r, v in enumerate(x_order(points))}
     labels = tuple(f"x:{rank[v]}" for v in range(n))
-    return Drawing.compiled(n, frozenset(crossings), rotations, labels)
+    return Drawing.from_rows(n, rows, rotations, labels)
 
 
 def x_order(points: Sequence[Point]) -> list[int]:

@@ -8,10 +8,10 @@ import random
 from fractions import Fraction
 
 from planetrees.book import PAGE_BOTTOM, PAGE_TOP
-from planetrees.core import Drawing, EdgeColoring, SolveReport, all_edges, edge
+from planetrees.core import Drawing, EdgeColoring, SolveReport, all_edges, edge, edge_index, is_spanning_tree
 from planetrees.cylindrical import TURN, CylindricalLayout, NotSimpleError, side_crossings
 from planetrees.generators import GenerationError, gen_coloring
-from planetrees.search import find_plane_tree
+from planetrees.search import enumerate_spanning_trees, find_plane_tree
 from planetrees.straightline import PointDrawing, orient
 
 
@@ -32,6 +32,27 @@ def uniform_coloring(n: int, color: int = 0, k: int = 2) -> EdgeColoring:
 def coloring_from(n: int, k: int, mapping: dict) -> EdgeColoring:
     full = {edge(u, v): mapping[edge(u, v)] for u, v in all_edges(n)}
     return EdgeColoring.from_map(n, k, full)
+
+
+def canonical_pairs(crossings) -> bool:
+    """True when ``crossings`` is a frozenset that rebuilding with
+    ``crossing_pair(edge(...), edge(...))`` would leave unchanged (the
+    pair check the ``Drawing`` constructor skipped for compiled input
+    while it stored pairs)."""
+    if type(crossings) is not frozenset:
+        return False
+    try:
+        for p in crossings:
+            e, f = p
+            u, v = e
+            x, y = f
+            if not (u < v and x < y and (u < x or u == x and v <= y)):
+                return False
+            if type(p) is not tuple or type(e) is not tuple or type(f) is not tuple:
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def convex_interleaving_crossings(order: list[int]) -> frozenset:
@@ -275,3 +296,104 @@ def nonspanning_fallback(d: Drawing, c: EdgeColoring) -> SolveReport:
             witness={"reason": "no plane spanning tree avoids a non-spanning color class", "color": bad, "n": d.n},
         )
     return report
+
+
+# The crossing index as it was before the conflict rows became a
+# drawing's one stored index: rows built from the pair set, the
+# orientation-table point compiler, the pair-sorting crossing writer and
+# the plane-tree scan without the colour-region prefilter.
+# tests/test_conflict_rows.py and tests/test_search_prefilter.py compare
+# the package with these.
+
+
+def reference_rows(n: int, pairs) -> tuple[int, ...]:
+    """One crossing bitmask per edge rank, built from crossing pairs."""
+    rank = {e: i for i, e in enumerate(all_edges(n))}
+    rows = [0] * len(rank)
+    for e, f in pairs:
+        rows[rank[e]] |= 1 << rank[f]
+        rows[rank[f]] |= 1 << rank[e]
+    return tuple(rows)
+
+
+def reference_orientation_compile(p: PointDrawing) -> Drawing:
+    """compile_points over the orientation table of all triples: each
+    4-subset a<b<c<d crosses as ab|cd, ac|bd or ad|bc by the signs of
+    its four triples, and each rotation ranks a point by the signs of
+    the triples through the vertex."""
+    points, n = p.points, p.n
+    if len({x for x, _ in points}) != n:
+        raise ValueError("duplicate x-coordinate among points")
+    o = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = orient(points[i], points[j], points[k])
+        if s == 0:
+            raise ValueError(f"collinear points {i}, {j}, {k}")
+        o[i][j][k] = o[j][k][i] = o[k][i][j] = s
+        o[i][k][j] = o[k][j][i] = o[j][i][k] = -s
+    crossings = []
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        abc, abd, acd, bcd = o[a][b][c], o[a][b][d], o[a][c][d], o[b][c][d]
+        if abc != abd and acd != bcd:
+            crossings.append(((a, b), (c, d)))
+        elif abc == acd and abd == bcd:
+            crossings.append(((a, c), (b, d)))
+        elif abd != acd and abc != bcd:
+            crossings.append(((a, d), (b, c)))
+    rotations = []
+    for v in range(n):
+        x, y = points[v]
+        halves = ([], [])
+        for w, (wx, wy) in enumerate(points):
+            if w != v:
+                halves[0 if wy > y or (wy == y and wx > x) else 1].append(w)
+        rot = []
+        for half in halves:
+            ranked = [0] * len(half)
+            for w in half:
+                ranked[(len(half) - 1 - sum(o[v][w][u] for u in half)) // 2] = w
+            rot += ranked
+        rotations.append(tuple(rot))
+    rank = {v: r for r, v in enumerate(sorted(range(n), key=lambda v: points[v][0]))}
+    return Drawing(n, frozenset(crossings), tuple(rotations), tuple(f"x:{rank[v]}" for v in range(n)))
+
+
+def reference_crossing_lines(d: Drawing) -> list[str]:
+    """``u-v w-x`` per crossing pair, sorted by the key rank(e)*m + rank(f)."""
+    table = all_edges(d.n)
+    rank, m = {e: i for i, e in enumerate(table)}, len(table)
+    keys = sorted(rank[e] * m + rank[f] for e, f in d.crossings)
+    return [f"{table[k // m][0]}-{table[k // m][1]} {table[k % m][0]}-{table[k % m][1]}" for k in keys]
+
+
+def reference_find_plane_tree(d: Drawing, c: EdgeColoring, mode: str = "monochromatic", color=None) -> SolveReport:
+    """find_plane_tree with its per-tree predicate over every tree in
+    Prüfer order, and no colour-region prefilter (n <= 10)."""
+    n, k = d.n, c.k
+    rows = reference_rows(n, d.crossings)
+    class_masks = [0] * k
+    for i, col in enumerate(c.colors):
+        class_masks[col] |= 1 << i
+
+    def satisfies(mask):
+        if mode == "monochromatic":
+            for col in [color] if color is not None else range(k):
+                if mask & ~class_masks[col] == 0:
+                    return frozenset(range(k)) - {col}
+            return None
+        if mode == "avoid":
+            return frozenset({color}) if mask & class_masks[color] == 0 else None
+        used = {col for col, cm in enumerate(class_masks) if mask & cm}
+        return frozenset(range(k)) - used if len(used) < k else None
+
+    for tree in enumerate_spanning_trees(n):
+        mask = sum(1 << edge_index(n, e) for e in tree)
+        avoided = satisfies(mask)
+        if avoided is None or any(rows[i] & mask for i in range(len(rows)) if mask >> i & 1):
+            continue
+        plane = not any(e in tree and f in tree for e, f in d.crossings)
+        checks = (("plane", plane), ("spanning-tree", is_spanning_tree(n, tree)))
+        return SolveReport("tree-found", frozenset(tree), avoided, checks, {"mode": mode, "color": color})
+    witness = {"reason": "exhaustive scan found no plane spanning tree for the predicate",
+               "mode": mode, "color": color, "n": n}
+    return SolveReport("counterexample", witness=witness)

@@ -5,7 +5,7 @@ them with ``side_crossings`` alone, and ``CylindricalLayout`` validates
 its angles and windings over one common denominator.  The rational
 generator and checks they replaced live in ``conftest.py``; the
 serialized layouts and the error messages must be the same.  The
-compilers hand their crossing pairs to ``Drawing.compiled`` unchecked,
+compilers hand their conflict rows to ``Drawing.from_rows`` unchecked,
 and class files are read once per command.
 """
 
@@ -22,13 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from planetrees.book import compile_book
 from planetrees.cli import main
-from planetrees.core import Drawing, _canonical_pairs
+from planetrees.core import Drawing
 from planetrees.cylindrical import CylindricalLayout, NotSimpleError, compile_layout, side_crossings
 from planetrees.formats import serialize_cylindrical
 from planetrees.generators import gen_book, gen_cylindrical, gen_points
 from planetrees.straightline import compile_points
 
-from conftest import reference_gen_cylindrical, reference_layout_errors
+from conftest import canonical_pairs, reference_gen_cylindrical, reference_layout_errors
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 
@@ -181,12 +181,12 @@ def test_compilers_emit_canonical_pairs(n):
             compile_book(gen_book(n, seed)),
             compile_points(gen_points(n, seed)),
         ):
-            assert _canonical_pairs(d.crossings)
+            assert canonical_pairs(d.crossings)
             assert d == Drawing(d.n, d.crossings, d.rotations, d.vertex_labels)
 
 
 def test_compiled_drawing_canonicalizes_rotations():
-    d = Drawing.compiled(3, frozenset(), ((2, 1), (2, 0), (1, 0)), None)
+    d = Drawing.from_rows(3, (0, 0, 0), ((2, 1), (2, 0), (1, 0)), None)
     assert d.rotations == ((1, 2), (0, 2), (0, 1))
     assert d == Drawing(3, frozenset(), ((1, 2), (0, 2), (0, 1)))
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planetrees import search
+from planetrees import cylindrical, search
 from planetrees.cli import main
 from planetrees.core import (
     EdgeColoring,
@@ -660,3 +660,32 @@ def test_annulus_solver_never_enumerates(monkeypatch):
         for assert_invariants in (False, True):
             rep = solve_cylindrical(layout, assert_invariants)
             assert rep.status == "tree-found", rep.witness
+
+
+def test_reduction_that_removes_nothing_keeps_the_layout(monkeypatch, tmp_path):
+    # Both cycles of one colour: no vertex is removed, so the reduced
+    # layout is the layout itself and restrict_layout is not called.
+    with open(GOLDEN, encoding="ascii") as fh:
+        golden = json.load(fh)
+    expected = {}
+    for case in golden["cases"]:
+        if case["argv"][:3] == ["solve", "--class", "cylindrical"] and case["argv"][3] == "@cyl_6_6_0_cycles0.cyl":
+            expected[tuple(case["argv"][4:])] = (case["exit"], case["stdout"])
+    assert len(expected) == 2
+    path = tmp_path / "cycles0.cyl"
+    path.write_text(golden["files"]["cyl_6_6_0_cycles0.cyl"]["text"])
+
+    def refuse(*args):
+        raise AssertionError("restrict_layout rebuilt a layout the reduction left whole")
+
+    monkeypatch.setattr(cylindrical, "restrict_layout", refuse)
+    for extra, (code, stdout) in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", "--class", "cylindrical", str(path), *extra]) == code
+        assert out.getvalue() == stdout
+    for size in (20, 40):
+        layout = cycles_colored(gen_cylindrical(size, size, 0), 0)
+        got = solve_cylindrical(layout)
+        assert got.ok and got.witness["removed_vertices"] == []
+        assert got.tree == side_edge_tree(layout)

@@ -4,11 +4,10 @@ In a book drawing all vertices sit on a line (the spine) and every
 edge runs entirely above or below it.  Two edges cross exactly when
 they are on the same page and their endpoints interleave along the
 spine, which makes the compiled crossings purely combinatorial.
-Compilation writes each edge's conflict row at once: for positions
-a<b<c<d only the pairing (a,c)x(b,d) interleaves, so the row of the
-edge at a, c is its page's edges with exactly one end strictly between
-them, a few big-integer operations on per-vertex incident-edge masks.
-The annulus compiler reuses this for its chords.
+For positions a<b<c<d only the pairing (a,c)x(b,d) interleaves, so
+the conflict row of the edge at a, c is its page's edges with one end
+strictly between them: a few operations on incident-edge masks per
+edge.  The annulus compiler reuses this for its chords.
 
 The solver peels off vertices that are incident to uncrossed edges of
 both colors, takes the (necessarily monochromatic) residual spine
@@ -32,7 +31,7 @@ from .core import (
     certify,
     edge,
     edge_index,
-    edge_table,
+    edge_mask,
     induced_mask,
     peel_candidate,
 )
@@ -83,15 +82,10 @@ class BookLayout:
 def interleaving_rows(n: int, rows: list[int], order: Sequence[int], page_of: Sequence[int]) -> None:
     """Add to the conflict rows of K_n the crossings of the edges drawn on
     one side of a line through the vertices ``order``; ``page_of[r]`` is
-    the mask of the edges on edge r's page.  Ends at positions a<b<c<d
-    alternate only as (a,c)x(b,d), so the edge at a, c crosses the edges
-    of its page with one end strictly between: the XOR of the incident
-    masks of the vertices between, less the edges at a or c.
-    """
-    incident = [0] * n  # the edges at each vertex
-    for bit, (u, v) in zip(_edge_bits(n), edge_table(n)):
-        incident[u] |= bit
-        incident[v] |= bit
+    the mask of the edges on edge r's page.  The edge at positions a, c
+    crosses the edges of its page with one end strictly between: the XOR
+    of the incident masks of the vertices between, less those at a, c."""
+    incident = [edge_mask(n, (edge(v, w) for w in range(n) if w != v)) for v in range(n)]  # the edges at each vertex
     prefix = [0]  # prefix[i]: XOR of the incident masks of order[:i]
     for v in order:
         prefix.append(prefix[-1] ^ incident[v])

@@ -9,14 +9,12 @@ Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
 ``frozenset`` of such tuples.  A drawing stores one index of its
 crossings, ``Drawing.conflicts``: for each edge rank (the lexicographic
 order of ``edge_table``) the bitmask of the edges crossing it, written
-directly by the parser and the layout compilers; the crossing pairs
-are a view that no parse, solve or verify path builds.  An edge set is
-plane when no member's row meets the set's own mask, and an edge is
-uncrossed among a vertex subset when its row misses the subset's
-edges.  The same module holds the one peel step (``peel_candidate``)
-and the one output check (``certify``) the solvers share.  Its
-``is_plane`` tests the tree edges pair by pair against the rows, never
-through ``mask_is_plane``, the test the searches use.
+directly by the parser and the layout compilers; no parse, solve or
+verify path builds the crossing pairs.  An edge set is plane when no
+member's row meets the set's own mask.  The same module holds the one
+peel step (``peel_candidate``) and the one output check (``certify``)
+the solvers share; its ``is_plane`` tests tree edges pair by pair
+against the rows, never through ``mask_is_plane``, the searches' test.
 """
 
 from __future__ import annotations
@@ -88,30 +86,25 @@ def row_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
             row ^= low
 
 
-def _canonical_rotation(rot: Iterable[int]) -> tuple[int, ...]:
-    """Rotate a circular sequence so that its smallest entry comes first."""
-    seq = tuple(rot)
-    if not seq:
-        return seq
-    i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
+def _canonical_rotations(rotations) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Each circular sequence rotated so that its smallest entry comes first."""
+    if rotations is None:
+        return None
+    seqs = [tuple(rot) for rot in rotations]
+    return tuple(seq[seq.index(min(seq)):] + seq[: seq.index(min(seq))] if seq else seq for seq in seqs)
 
 
 @dataclass(frozen=True, init=False)
 class Drawing:
-    """Simple drawing of K_n given by its crossings and rotations.
+    """Simple drawing of K_n: its crossings, rotations and vertex labels.
 
     The one stored index is ``conflicts``, one crossing bitmask per edge
-    rank.  ``Drawing(n, crossings, ...)`` is the checked constructor from
-    unordered pairs of crossing edges; ``from_rows`` takes rows as the
-    parser and the layout compilers write them.  ``crossings``, the set
-    of canonical pairs, is a view built from the rows on first use, and
-    equality and hashing compare it.  A pair with an edge outside K_n
-    has no row: the drawing keeps its pairs, ``validate_drawing``
-    reports the edge, and reading ``conflicts`` raises ValueError.
-    ``rotations``, when present, give each vertex's counterclockwise
-    order of the others, canonicalized to start at the smallest one;
-    ``vertex_labels`` are role tags such as ``inner``/``outer``.
+    rank, written by the checked constructor from crossing pairs or
+    taken by ``from_rows``.  ``crossings``, the set of canonical pairs,
+    is a view built on first use; equality and hashing compare it.  A
+    pair with an edge outside K_n has no row, so such a drawing keeps
+    its pairs and reading ``conflicts`` raises ValueError.  Rotations
+    (counterclockwise neighbour orders) start at the smallest neighbour.
     """
 
     n: int
@@ -120,32 +113,28 @@ class Drawing:
     vertex_labels: Optional[tuple[str, ...]] = None
 
     def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
-        self._set(n, rotations, vertex_labels)
-        self.__dict__["crossings"] = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in crossings)
+        pairs = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in crossings)
+        rotations = _canonical_rotations(rotations)
+        self.__dict__.update(n=n, crossings=pairs, rotations=rotations, vertex_labels=vertex_labels)
         try:
             self.conflicts
         except ValueError:  # an edge outside K_n has no row: the pairs stay
             return
         del self.__dict__["crossings"]  # the rows are the one stored index
 
-    def _set(self, n: int, rotations, vertex_labels) -> None:
-        canon = None if rotations is None else tuple(_canonical_rotation(r) for r in rotations)
-        self.__dict__.update(n=n, rotations=canon, vertex_labels=vertex_labels)
-
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int], rotations=None, vertex_labels=None) -> "Drawing":
         """A drawing from its conflict rows, ``rows[r]`` the crossing
         bitmask of edge rank r; the rows must be symmetric."""
         d = cls.__new__(cls)
-        d._set(n, rotations, vertex_labels)
-        d.__dict__["conflicts"] = tuple(rows)
+        rotations = _canonical_rotations(rotations)
+        d.__dict__.update(n=n, conflicts=tuple(rows), rotations=rotations, vertex_labels=vertex_labels)
         return d
 
     @functools.cached_property
     def conflicts(self) -> tuple[int, ...]:
         """Bitmask of the edges crossing each edge, in ``edge_index`` order;
-        built from the pairs once.  Raises ValueError when a pair has an
-        edge outside K_n."""
+        raises ValueError when a pair has an edge outside K_n."""
         rank, bits = _edge_ranks(self.n), _edge_bits(self.n)
         rows = [0] * len(bits)
         for pair in self.crossings:

@@ -24,7 +24,6 @@ edges would meet at all, are rejected as not simple.
 Validation and compilation put all angles and windings over one common
 denominator once (``CylindricalLayout.ticks``) and work in those integer
 ticks; ``Fraction`` values appear only as the layout's fields and in files.
-Compilation writes the drawing's conflict rows directly.
 
 The solver sweeps back and forth over the side edges: it grows an
 active caterpillar subgraph H by walking the rotation of a current
@@ -45,9 +44,11 @@ integer ticks with no search.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -181,6 +182,41 @@ def side_crossings(sides: list[tuple[Edge, int, int]], turn: int) -> list[tuple[
     return crossings
 
 
+def side_rows(n: int, rows: list[int], sides: list[tuple[Edge, int, int]], turn: int) -> None:
+    """Add to the conflict rows of K_n the crossings among the side edges
+    ``(edge, start, end)`` of ``side_crossings``, listed by inner vertex.
+    With T = ``turn`` and s, t the ends of (u, w) and (u', w'), these
+    cross once when t is in [s-2T, s-T) or (s, s+T] for u' < u, and in
+    [s-T, s) or (s+T, s+2T] for u' > u: masks over the sorted ends.  A
+    pair meeting more, or adjacent edges meeting, go to ``side_crossings``
+    for its error."""
+    bits = _edge_bits(n)
+    ranks = [edge_index(n, e) for e, _, _ in sides]
+    ends = sorted((s, bits[r]) for (_, _, s), r in zip(sides, ranks))
+    keys, prefix, at = [s for s, _ in ends], [0], [0] * n
+    for _, bit in ends:
+        prefix.append(prefix[-1] | bit)
+    for ((u, w), _, _), r in zip(sides, ranks):
+        at[u] |= bits[r]
+        at[w] |= bits[r]
+    below = list(itertools.accumulate(at, operator.or_, initial=0))  # side edges of inner vertices < u
+
+    def ending(lo: int, hi: int) -> int:  # the side edges whose end lies in [lo, hi)
+        return prefix[bisect.bisect_left(keys, hi)] ^ prefix[bisect.bisect_left(keys, lo)]
+
+    bad, T = 0, turn
+    for ((u, w), _, s), r in zip(sides, ranks):
+        before, after = below[u], prefix[-1] ^ below[u + 1]
+        row = before & (ending(s - 2 * T, s - T) | ending(s + 1, s + T + 1))
+        row |= after & (ending(s - T, s) | ending(s + T + 1, s + 2 * T + 1))
+        # Each pair is seen from both ends, so the earlier inner vertex's side suffices.
+        bad |= before & ~ending(s - 2 * T, s + T + 1) | at[u] & ~ending(s - T, s + T + 1) | row & at[w]
+        rows[r] |= row
+    if bad:
+        side_crossings(sides, turn)
+        raise AssertionError("side_crossings accepted a layout that side_rows refused")
+
+
 def compile_layout(layout: CylindricalLayout) -> Drawing:
     """Crossing set and rotation system of an annulus layout.
 
@@ -193,11 +229,7 @@ def compile_layout(layout: CylindricalLayout) -> Drawing:
     rows = [0] * (n * (n - 1) // 2)
     for circle in (range(p), range(p, n)):
         interleaving_rows(n, rows, circle, [induced_mask(n, circle)] * len(rows))
-    rank, bits = {e: edge_index(n, e) for e, _, _ in sides}, _edge_bits(n)
-    for e, f in side_crossings(sides, 2 * den):
-        i, j = rank[e], rank[f]
-        rows[i] |= bits[j]
-        rows[j] |= bits[i]
+    side_rows(n, rows, sides, 2 * den)
 
     # Counterclockwise rotations.  At either circle the side edges take
     # off tilted by the arctangent of their winding, so they appear by

@@ -138,9 +138,9 @@ def _edge_label_ranks(n: int) -> dict[str, int]:
 
 
 def _add_crossing(rows: list[int], line_no: int, text: str, n: int, adjacent_ok: bool = True) -> None:
-    """Set the row bits of the crossing pair ``u-v w-x`` in ``text``.  A
-    token other than a canonical ``u-v`` goes through ``_parse_edge_token``,
-    which names what is wrong with it; a bit already set is a duplicate."""
+    """Set the row bits of the crossing pair ``u-v w-x`` in ``text``; a bit
+    already set is a duplicate, and a token other than a canonical ``u-v``
+    goes through ``_parse_edge_token``, which names what is wrong."""
     toks = text.split()
     if len(toks) != 2:
         raise ParseError(line_no, f"expected crossing pair 'u-v w-x', got {text!r}")

@@ -6,8 +6,7 @@ once and "first tree found" is deterministic (lexicographic sequence
 order).  On top of the enumeration sit two users:
 
 * ``find_plane_tree`` — first plane spanning tree satisfying a color
-  predicate (monochromatic / avoid one color / hypochromatic), after
-  dropping every colour region that does not connect the vertices;
+  predicate (monochromatic / avoid one color / hypochromatic);
 * ``verify_all_colorings`` — for a fixed small drawing, confirm that
   every 2-edge-coloring (up to swapping the two colors) admits a
   monochromatic plane spanning tree.
@@ -151,8 +150,8 @@ def find_plane_tree(
     trees = _iter_tree_masks(n, allow_large)
     chosen = range(c.k) if color is None or mode == "hypochromatic" else (color,)
     full = (1 << len(c.colors)) - 1
-    regions = [class_masks[col] if mode == "monochromatic" else full ^ class_masks[col] for col in chosen]
-    regions = [region for region in regions if spans(n, region)]
+    regions = [r for r in (class_masks[col] if mode == "monochromatic" else full ^ class_masks[col] for col in chosen)
+               if spans(n, r)]
     for mask in trees if regions else ():
         if not any(mask & region == mask for region in regions):
             continue
@@ -165,15 +164,8 @@ def find_plane_tree(
                 return SolveReport(STATUS_TREE_FOUND, tree, frozenset(avoided), checks, witness)
             failure = {"reason": "output predicates failed", **witness}
             return SolveReport(STATUS_COUNTEREXAMPLE, tree, frozenset(), checks, failure)
-    return SolveReport(
-        status=STATUS_COUNTEREXAMPLE,
-        witness={
-            "reason": "exhaustive scan found no plane spanning tree for the predicate",
-            "mode": mode,
-            "color": color,
-            "n": n,
-        },
-    )
+    reason = "exhaustive scan found no plane spanning tree for the predicate"
+    return SolveReport(STATUS_COUNTEREXAMPLE, witness={"reason": reason, "mode": mode, "color": color, "n": n})
 
 
 @dataclass(frozen=True)

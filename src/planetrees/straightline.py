@@ -73,12 +73,10 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 
 def half_planes(points: Sequence[Point]) -> list[list[int]]:
-    """``L[i][j]``: bitmask of the points strictly left of the line i->j.
-
-    One exact orientation sign per triple i<j<k fills three entries.
-    Raises ValueError unless the points are in general position: a
-    repeated x-coordinate, else the first collinear triple i<j<k.
-    """
+    """``L[i][j]``: bitmask of the points strictly left of the line i->j,
+    three entries per exact orientation sign of a triple i<j<k.  Raises
+    ValueError unless the points are in general position: a repeated
+    x-coordinate, else the first collinear triple i<j<k."""
     n = len(points)
     if len({x for x, _ in points}) != n:
         raise ValueError("duplicate x-coordinate among points")
@@ -90,14 +88,10 @@ def half_planes(points: Sequence[Point]) -> list[list[int]]:
                 s = dx * (points[k][1] - ay) - dy * (points[k][0] - ax)
                 if s == 0:
                     raise ValueError(f"collinear points {i}, {j}, {k}")
-                if s > 0:  # k left of i->j, i left of j->k, j left of k->i
-                    left[i][j] |= 1 << k
-                    left[j][k] |= 1 << i
-                    left[k][i] |= 1 << j
-                else:
-                    left[j][i] |= 1 << k
-                    left[k][j] |= 1 << i
-                    left[i][k] |= 1 << j
+                a, b = (i, j) if s > 0 else (j, i)  # k is left of a->b, a of b->k, b of k->a
+                left[a][b] |= 1 << k
+                left[b][k] |= 1 << a
+                left[k][a] |= 1 << b
     return left
 
 
@@ -129,17 +123,15 @@ def _rotation(points: Sequence[Point], left: list[list[int]], v: int) -> tuple[i
 
 
 def compile_points(p: PointDrawing) -> Drawing:
-    """Conflict rows and rotations from the half-plane table."""
-    return _compile(p.points, half_planes(p.points))
+    """Conflict rows and rotations from the half-plane table L.
 
-
-def _compile(points: Sequence[Point], left: list[list[int]]) -> Drawing:
-    """Segments ab and cd cross iff each separates the other's ends.  For
+    Segments ab and cd cross iff each separates the other's ends.  For
     the edge (a, b) and a point c, the d > c with (c, d) crossing it are
     the points on the side of ab opposite c that lie in L[c][a] XOR
-    L[c][b], the set where a and b fall on different sides of c->d; read
-    as edge ranks, they are one shifted bitmask per c."""
-    n = len(points)
+    L[c][b], where a and b fall on different sides of c->d; as edge
+    ranks they are one shifted bitmask per c.
+    """
+    points, left, n = p.points, half_planes(p.points), p.n
     base = [edge_index(n, (c, c + 1)) for c in range(n)]
     rows = []
     for a in range(n):

@@ -99,22 +99,30 @@ def test_compilers_write_the_rows_of_the_reference_pairs(n):
             assert got == want
 
 
-def test_compilers_write_the_rows_of_wrapping_annuli():
-    rng = random.Random("wrapping-rows")
-    checked = 0
-    while checked < 40:
+@pytest.mark.parametrize("seed", range(6))
+def test_compilers_write_the_rows_of_wrapping_annuli(seed):
+    # Windings of up to two extra turns: many layouts are not simple, and
+    # compile_layout must raise side_crossings's first error for those.
+    rng = random.Random(f"wrapping-rows:{seed}")
+    raised = 0
+    for _ in range(80):
         p, q = rng.randint(1, 6), rng.randint(1, 6)
         res = 4 * (p + q) + rng.randrange(1, 7)
         inner = tuple(Fraction(2 * t, res) for t in sorted(rng.sample(range(res), p)))
         outer = tuple(Fraction(2 * t, res) for t in sorted(rng.sample(range(res), q)))
-        windings = tuple(tuple((b - a) % TURN + TURN * rng.randint(-1, 1) for b in outer) for a in inner)
+        turns = rng.choice([0, 1, 1, 2])
+        windings = tuple(tuple((b - a) % TURN + TURN * rng.randint(-turns, turns) for b in outer) for a in inner)
         layout = CylindricalLayout(inner, outer, windings, gen_coloring(p + q, 2, 0))
         try:
             want = reference_compile_layout(layout)
-        except NotSimpleError:
+        except NotSimpleError as exc:
+            raised += 1
+            with pytest.raises(NotSimpleError) as info:
+                compile_layout(layout)
+            assert str(info.value) == str(exc)
             continue
         assert_index(compile_layout(layout), p + q, want.crossings)
-        checked += 1
+    assert 10 < raised < 70
 
 
 def test_one_page_book_rows():

@@ -27,6 +27,7 @@ whole block, at most 2^16 colorings, at once.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import itertools
@@ -102,9 +103,9 @@ def enumerate_spanning_trees(n: int, allow_large: bool = False) -> Iterator[Edge
 
 
 @functools.lru_cache(maxsize=8)
-def _tree_masks(n: int) -> tuple[int, ...]:
-    """All spanning trees of K_n as edge-rank bitmasks (n <= 7 only)."""
-    return tuple(edge_mask(n, tree) for tree in enumerate_spanning_trees(n))
+def _tree_masks(n: int) -> array.array:
+    """All spanning trees of K_n as edge-rank bitmasks (n <= 7 only), 4 bytes each."""
+    return array.array("I", (edge_mask(n, tree) for tree in enumerate_spanning_trees(n)))
 
 
 def _mask_to_edges(n: int, mask: int) -> EdgeSet:

@@ -146,8 +146,8 @@ def find_plane_tree(
     class_masks = [0] * c.k
     for i, col in enumerate(c.colors):
         class_masks[col] |= 1 << i
-    # A tree may lie in a colour class, or in a class's complement; a region
-    # that does not connect the n vertices holds none, so it is dropped.
+    # The n > 10 refusal comes first.  A tree lies in a colour class or a class's
+    # complement; a region that does not connect the n vertices holds none.
     trees = _iter_tree_masks(n, allow_large)
     chosen = range(c.k) if color is None or mode == "hypochromatic" else (color,)
     full = (1 << len(c.colors)) - 1

@@ -8,7 +8,9 @@ so ``parse(serialize(x)) == x`` holds for every value.  Writers format
 edges from per-n tables in ``edge_table`` order: ``_edge_labels``
 (``u-v``) and ``_color_prefixes`` (``e u v : ``).  Crossings go straight
 between text and a drawing's conflict rows: writers walk the rows in
-rank order, readers look each ``u-v`` token up in the labels' ranks.
+rank order.  Readers make one pass over a file's non-blank lines and
+look ``u-v`` tokens and ``e u v : `` prefixes up in the tables' ranks; a
+line the tables miss goes through the token parsers, which name the fault.
 
 Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
 
@@ -18,6 +20,10 @@ Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
     labels:             (optional; lines ``v: <tag>``)
     xorder: <v0> <v1> ...   (optional)
     colors: k=<k>       (optional; lines ``e u v : c``)
+
+    A drawing has at most one ``rotations``, ``labels`` and ``colors``
+    section and one ``xorder`` line; each vertex appears once in the
+    rotations and once in the labels.  A repeat is refused, not merged.
 
     coloring n=<n> k=<k>
     e <u> <v> : <c>     (one line per edge of K_n)
@@ -50,12 +56,14 @@ It returns a frozen ``Instance`` (kind, value, colouring, x-order) whose
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Union
+from itertools import islice
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
-from .core import Drawing, Edge, EdgeColoring, _edge_bits, all_edges, edge, edge_index, edge_table, row_pairs
+from .core import Drawing, Edge, EdgeColoring, _edge_bits, edge, edge_index, edge_table, row_pairs
 from .cylindrical import CylindricalLayout, compile_layout
 from .straightline import PointDrawing, compile_points
 
@@ -68,36 +76,34 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class _Lines:
-    """Token stream over non-blank, comment-stripped lines."""
+def _lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, line)`` of each non-blank line, ``#`` comments cut off."""
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.partition("#")[0] for raw in raws]
+    return [(i, line) for i, raw in enumerate(raws, 1) if (line := raw.strip())]
 
-    def __init__(self, text: str):
-        self.items: list[tuple[int, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                self.items.append((i, line))
-        self.pos = 0
 
-    def peek(self) -> Optional[tuple[int, str]]:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> tuple[int, str]:
-        item = self.peek()
-        if item is None:
-            last = self.items[-1][0] if self.items else 0
-            raise ParseError(last + 1, "unexpected end of input")
-        self.pos += 1
+def _take(it: Iterator[tuple[int, str]], eof: int) -> tuple[int, str]:
+    """The next line; ParseError on line ``eof`` at the end of input."""
+    for item in it:
         return item
+    raise ParseError(eof, "unexpected end of input")
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
 
-    def finish(self) -> None:
-        if not self.exhausted:
-            line_no, line = self.next()
-            raise ParseError(line_no, f"unexpected trailing line {line!r}")
+def _exactly(it: Iterator[tuple[int, str]], eof: int, count: int) -> Iterator[tuple[int, str]]:
+    """The next ``count`` lines; ParseError after them if the input ends first."""
+    block = list(islice(it, max(0, min(count, eof))))  # fewer than eof lines are left
+    yield from block
+    if len(block) < count:
+        raise ParseError(eof, "unexpected end of input")
+
+
+def _finish(it: Iterator[tuple[int, str]], value: Any) -> Any:
+    """``value``, once no line is left."""
+    for line_no, line in it:
+        raise ParseError(line_no, f"unexpected trailing line {line!r}")
+    return value
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
@@ -121,6 +127,14 @@ def _parse_header_fields(line_no: int, line: str, kind: str, fields: list[str]) 
     return values
 
 
+def _open(text: str, kind: str, fields: list[str]) -> tuple[Iterator[tuple[int, str]], int, list[int]]:
+    """An iterator past a file's header, the line of its end, and the header's fields."""
+    lines = _lines(text)
+    it, eof = iter(lines), lines[-1][0] + 1 if lines else 1
+    line_no, line = _take(it, eof)
+    return it, eof, _parse_header_fields(line_no, line, kind, fields)
+
+
 def _parse_edge_token(line_no: int, token: str, n: int) -> Edge:
     parts = token.split("-")
     if len(parts) != 2:
@@ -135,6 +149,11 @@ def _parse_edge_token(line_no: int, token: str, n: int) -> Edge:
 @functools.lru_cache(maxsize=64)
 def _edge_label_ranks(n: int) -> dict[str, int]:
     return {label: r for r, label in enumerate(_edge_labels(n))}
+
+
+@functools.lru_cache(maxsize=64)
+def _color_prefix_ranks(n: int) -> dict[str, int]:
+    return {prefix: r for r, prefix in enumerate(_color_prefixes(n))}
 
 
 def _add_crossing(rows: list[int], line_no: int, text: str, n: int, adjacent_ok: bool = True) -> None:
@@ -169,26 +188,46 @@ def format_fraction(f: Union[int, Fraction]) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_color_lines(lines: _Lines, n: int, k: int) -> EdgeColoring:
-    mapping: dict[Edge, int] = {}
+def _color_entry(line_no: int, line: str, n: int, k: int, colors) -> None:
+    """Check one ``e u v : c`` line and write c at its edge's rank."""
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "e" or parts[3] != ":":
+        raise ParseError(line_no, f"expected color line 'e u v : c', got {line!r}")
+    u = _parse_int(line_no, parts[1], "vertex")
+    v = _parse_int(line_no, parts[2], "vertex")
+    c = _parse_int(line_no, parts[4], "color")
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ParseError(line_no, f"edge {u} {v} out of range for n={n}")
+    e = edge(u, v)
+    r = edge_index(n, e)
+    if colors[r] is not None:
+        raise ParseError(line_no, f"duplicate color for edge {e[0]}-{e[1]}")
+    if not 0 <= c < k:
+        raise ParseError(line_no, f"color index {c} out of range for k={k}")
+    colors[r] = c
+
+
+def _read_color_lines(it: Iterator[tuple[int, str]], eof: int, n: int, k: int) -> EdgeColoring:
+    """One colour line per edge of K_n, in any order, written into rank order;
+    a line the prefix table misses goes through ``_color_entry``."""
     m = n * (n - 1) // 2
-    while len(mapping) < m:
-        line_no, line = lines.next()
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "e" or parts[3] != ":":
-            raise ParseError(line_no, f"expected color line 'e u v : c', got {line!r}")
-        u = _parse_int(line_no, parts[1], "vertex")
-        v = _parse_int(line_no, parts[2], "vertex")
-        c = _parse_int(line_no, parts[4], "color")
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ParseError(line_no, f"edge {u} {v} out of range for n={n}")
-        e = edge(u, v)
-        if e in mapping:
-            raise ParseError(line_no, f"duplicate color for edge {e[0]}-{e[1]}")
-        if not 0 <= c < k:
-            raise ParseError(line_no, f"color index {c} out of range for k={k}")
-        mapping[e] = c
-    return EdgeColoring.from_map(n, k, mapping)
+    block = list(islice(it, min(m, eof)))
+    whole = len(block) == m  # else the lines' own faults come first, and nothing is sized by the header
+    ranks, colors = (_color_prefix_ranks(n), [None] * m) if whole else ({}, defaultdict(lambda: None))
+    for line_no, line in block:
+        cut = line.rfind(" ") + 1
+        r = ranks.get(line[:cut])
+        try:
+            c = int(line[cut:])
+        except ValueError:
+            r = None
+        if r is None or colors[r] is not None or not 0 <= c < k:
+            _color_entry(line_no, line, n, k, colors)
+        else:
+            colors[r] = c
+    if not whole:
+        raise ParseError(eof, "unexpected end of input")
+    return EdgeColoring(n, k, tuple(colors))
 
 
 @functools.lru_cache(maxsize=64)
@@ -211,18 +250,15 @@ def _crossing_lines(d: Drawing) -> list[str]:
     return [f"{labels[r]} {labels[s]}" for r, s in row_pairs(d.conflicts)]
 
 
-def _parse_colors_section(lines: _Lines, n: int) -> EdgeColoring:
-    line_no, line = lines.next()
+def _read_colors(it: Iterator[tuple[int, str]], eof: int, n: int, line_no: int, line: str) -> EdgeColoring:
+    """The colour lines after the ``colors: k=<k>`` header ``line``."""
     parts = line.split()
     if len(parts) != 2 or parts[0] != "colors:" or not parts[1].startswith("k="):
         raise ParseError(line_no, f"expected 'colors: k=<k>', got {line!r}")
-    k = _parse_int(line_no, parts[1][2:], "k value")
-    return _parse_color_lines(lines, n, k)
+    return _read_color_lines(it, eof, n, _parse_int(line_no, parts[1][2:], "k value"))
 
 
-# ---------------------------------------------------------------------------
-# Drawing
-# ---------------------------------------------------------------------------
+# --- Drawing ---
 
 
 def serialize_drawing(
@@ -247,80 +283,67 @@ def serialize_drawing(
     return "\n".join(out) + "\n"
 
 
-def parse_drawing(
-    text: str,
-) -> tuple[Drawing, Optional[EdgeColoring], Optional[tuple[int, ...]]]:
-    lines = _Lines(text)
-    line_no, line = lines.next()
-    (n,) = _parse_header_fields(line_no, line, "drawing", ["n"])
-    rows = [0] * len(_edge_bits(n))
-    rotations: Optional[list] = None
-    labels: Optional[dict[int, str]] = None
-    x_order: Optional[tuple[int, ...]] = None
-    coloring: Optional[EdgeColoring] = None
-    section = None
-    while not lines.exhausted:
-        line_no, line = lines.next()
-        toks = line.split()
-        head = toks[0]
+def parse_drawing(text: str) -> tuple[Drawing, Optional[EdgeColoring], Optional[tuple[int, ...]]]:
+    it, eof, (n,) = _open(text, "drawing", ["n"])
+    bits = _edge_bits(n)
+    rows = [0] * len(bits)
+    rotations = labels = x_order = coloring = section = ranks = None
+    first: dict[str, int] = {}  # the header line of each section that may appear once
+    for line_no, line in it:
+        if section == "crossings":
+            a, _, b = line.partition(" ")
+            i, j = ranks.get(a), ranks.get(b)
+            if i is not None and j is not None and not rows[i] & bits[j]:
+                rows[i] |= bits[j]
+                rows[j] |= bits[i]
+                continue
+        head, *toks = line.split()
+        if head in ("rotations:", "labels:", "xorder:", "colors:"):
+            if head in first:
+                raise ParseError(line_no, f"duplicate {head[:-1]} section; the first is on line {first[head]}")
+            first[head] = line_no
         if head == "crossings:":
-            section = "crossings"
-            continue
-        if head == "rotations:":
-            section = "rotations"
-            rotations = [None] * n
-            continue
-        if head == "labels:":
-            section = "labels"
-            labels = {}
-            continue
-        if head == "xorder:":
-            x_order = tuple(_parse_int(line_no, t, "vertex") for t in toks[1:])
+            section, ranks = "crossings", _edge_label_ranks(n)
+        elif head == "rotations:":
+            section, rotations = "rotations", [None] * n
+        elif head == "labels:":
+            section, labels = "labels", {}
+        elif head == "xorder:":
+            x_order = tuple(_parse_int(line_no, t, "vertex") for t in toks)
             if sorted(x_order) != list(range(n)):
                 raise ParseError(line_no, "xorder must be a permutation of the vertices")
             section = None
-            continue
-        if head == "colors:":
-            lines.pos -= 1
-            coloring = _parse_colors_section(lines, n)
+        elif head == "colors:":
+            coloring = _read_colors(it, eof, n, line_no, line)
             section = None
-            continue
-        if section == "crossings":
+        elif section == "crossings":
             _add_crossing(rows, line_no, line, n)
-            continue
-        if section == "rotations":
+        elif section == "rotations":
             v_tok, _, rest = line.partition(":")
             v = _parse_int(line_no, v_tok.strip(), "vertex")
             if not 0 <= v < n:
                 raise ParseError(line_no, f"rotation vertex {v} out of range")
             rot = tuple(_parse_int(line_no, t, "vertex") for t in rest.split())
-            assert rotations is not None
+            if rotations[v] is not None:
+                raise ParseError(line_no, f"duplicate rotation for vertex {v}")
             rotations[v] = rot
-            continue
-        if section == "labels":
+        elif section == "labels":
             v_tok, _, rest = line.partition(":")
             v = _parse_int(line_no, v_tok.strip(), "vertex")
-            assert labels is not None
+            if v in labels:
+                raise ParseError(line_no, f"duplicate label for vertex {v}")
             labels[v] = rest.strip()
-            continue
-        raise ParseError(line_no, f"unexpected line {line!r}")
-    rot_tuple = None
-    if rotations is not None:
-        missing = [v for v, r in enumerate(rotations) if r is None]
-        if missing:
-            raise ParseError(0, f"rotations section missing vertex {missing[0]}")
-        rot_tuple = tuple(rotations)
-    label_tuple = None
-    if labels is not None:
-        if sorted(labels) != list(range(n)):
-            raise ParseError(0, "labels section must cover every vertex")
-        label_tuple = tuple(labels[v] for v in range(n))
-    return Drawing.from_rows(n, rows, rot_tuple, label_tuple), coloring, x_order
+        else:
+            raise ParseError(line_no, f"unexpected line {line!r}")
+    if rotations is not None and None in rotations:
+        raise ParseError(first["rotations:"], f"rotations section missing vertex {rotations.index(None)}")
+    if labels is not None and sorted(labels) != list(range(n)):
+        raise ParseError(first["labels:"], "labels section must cover every vertex")
+    label_tuple = None if labels is None else tuple(labels[v] for v in range(n))
+    return Drawing.from_rows(n, rows, rotations, label_tuple), coloring, x_order
 
 
-# ---------------------------------------------------------------------------
-# EdgeColoring
-# ---------------------------------------------------------------------------
+# --- EdgeColoring ---
 
 
 def serialize_coloring(c: EdgeColoring) -> str:
@@ -330,17 +353,11 @@ def serialize_coloring(c: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str) -> EdgeColoring:
-    lines = _Lines(text)
-    line_no, line = lines.next()
-    n, k = _parse_header_fields(line_no, line, "coloring", ["n", "k"])
-    coloring = _parse_color_lines(lines, n, k)
-    lines.finish()
-    return coloring
+    it, eof, (n, k) = _open(text, "coloring", ["n", "k"])
+    return _finish(it, _read_color_lines(it, eof, n, k))
 
 
-# ---------------------------------------------------------------------------
-# CylindricalLayout
-# ---------------------------------------------------------------------------
+# --- CylindricalLayout ---
 
 
 def serialize_cylindrical(layout: CylindricalLayout) -> str:
@@ -362,20 +379,18 @@ def serialize_cylindrical(layout: CylindricalLayout) -> str:
 
 
 def parse_cylindrical(text: str) -> CylindricalLayout:
-    lines = _Lines(text)
-    line_no, line = lines.next()
-    p, q = _parse_header_fields(line_no, line, "cylindrical", ["n_inner", "n_outer"])
+    it, eof, (p, q) = _open(text, "cylindrical", ["n_inner", "n_outer"])
     n = p + q
 
     def expect_section(name: str) -> None:
-        ln, lv = lines.next()
+        ln, lv = _take(it, eof)
         if lv != name:
             raise ParseError(ln, f"expected section {name!r}, got {lv!r}")
 
     def angle_lines(count: int, offset: int, what: str) -> tuple[Fraction, ...]:
+        expect_section(f"{what}:")
         angles: dict[int, Fraction] = {}
-        for _ in range(count):
-            ln, lv = lines.next()
+        for ln, lv in _exactly(it, eof, count):
             v_tok, sep, rest = lv.partition(":")
             if not sep:
                 raise ParseError(ln, f"expected '<vertex>: <angle>', got {lv!r}")
@@ -387,14 +402,11 @@ def parse_cylindrical(text: str) -> CylindricalLayout:
             angles[v] = parse_fraction(ln, rest.strip())
         return tuple(angles[v] for v in range(offset, offset + count))
 
-    expect_section("inner:")
     inner = angle_lines(p, 0, "inner")
-    expect_section("outer:")
     outer = angle_lines(q, p, "outer")
     expect_section("windings:")
     windings: dict[tuple[int, int], Fraction] = {}
-    for _ in range(p * q):
-        ln, lv = lines.next()
+    for ln, lv in _exactly(it, eof, p * q):
         head, sep, rest = lv.partition(":")
         toks = head.split()
         if not sep or len(toks) != 2:
@@ -406,15 +418,12 @@ def parse_cylindrical(text: str) -> CylindricalLayout:
         if (u, w) in windings:
             raise ParseError(ln, f"duplicate winding for {u} {w}")
         windings[(u, w)] = parse_fraction(ln, rest.strip())
-    color = _parse_colors_section(lines, n)
-    lines.finish()
+    color = _finish(it, _read_colors(it, eof, n, *_take(it, eof)))
     wind = tuple(tuple(windings[(i, p + j)] for j in range(q)) for i in range(p))
     return CylindricalLayout(inner, outer, wind, color)
 
 
-# ---------------------------------------------------------------------------
-# BookLayout
-# ---------------------------------------------------------------------------
+# --- BookLayout ---
 
 
 def serialize_book(layout: BookLayout) -> str:
@@ -429,43 +438,39 @@ def serialize_book(layout: BookLayout) -> str:
 
 
 def parse_book(text: str) -> BookLayout:
-    lines = _Lines(text)
-    line_no, line = lines.next()
-    (n,) = _parse_header_fields(line_no, line, "book", ["n"])
-    ln, lv = lines.next()
+    it, eof, (n,) = _open(text, "book", ["n"])
+    ln, lv = _take(it, eof)
     if not lv.startswith("spine:"):
         raise ParseError(ln, f"expected 'spine: ...', got {lv!r}")
     spine = tuple(_parse_int(ln, t, "vertex") for t in lv.split()[1:])
     if sorted(spine) != list(range(n)):
         raise ParseError(ln, "spine must be a permutation of 0..n-1")
-    pages: dict[Edge, str] = {}
+    ranks = _edge_label_ranks(n)
+    pages: list[Optional[str]] = [None] * len(ranks)
     for name, page in (("top:", PAGE_TOP), ("bottom:", PAGE_BOTTOM)):
-        ln, lv = lines.next()
-        if lv.split()[0] != name:
+        ln, lv = _take(it, eof)
+        toks = lv.split()
+        if toks[0] != name:
             raise ParseError(ln, f"expected section {name!r}, got {lv!r}")
-        for tok in lv.split()[1:]:
-            e = _parse_edge_token(ln, tok, n)
-            if e in pages:
+        for tok in toks[1:]:
+            r = ranks.get(tok)
+            if r is None:
+                r = edge_index(n, _parse_edge_token(ln, tok, n))
+            if pages[r] is not None:
                 raise ParseError(ln, f"edge {tok} assigned to two pages")
-            pages[e] = page
-    missing = [e for e in all_edges(n) if e not in pages]
-    if missing:
-        raise ParseError(ln, f"edge {missing[0][0]}-{missing[0][1]} has no page")
-    color = _parse_colors_section(lines, n)
-    lines.finish()
-    return BookLayout.from_maps(spine, pages, color)
+            pages[r] = page
+    if None in pages:
+        raise ParseError(ln, f"edge {_edge_labels(n)[pages.index(None)]} has no page")
+    color = _finish(it, _read_colors(it, eof, n, *_take(it, eof)))
+    return BookLayout(spine, tuple(pages), color)
 
 
-# ---------------------------------------------------------------------------
-# PointDrawing
-# ---------------------------------------------------------------------------
+# --- PointDrawing ---
 
 
 def _format_coord(x) -> str:
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(f.numerator) if f.denominator == 1 else format_fraction(f)
 
 
 def serialize_points(p: PointDrawing) -> str:
@@ -478,17 +483,16 @@ def serialize_points(p: PointDrawing) -> str:
 
 
 def _parse_coord(line_no: int, token: str):
+    if "/" not in token:
+        return _parse_int(line_no, token, "rational p/q")
     f = parse_fraction(line_no, token)
     return int(f) if f.denominator == 1 else f
 
 
 def parse_points(text: str) -> PointDrawing:
-    lines = _Lines(text)
-    line_no, line = lines.next()
-    (n,) = _parse_header_fields(line_no, line, "points", ["n"])
+    it, eof, (n,) = _open(text, "points", ["n"])
     pts: dict[int, tuple] = {}
-    for _ in range(n):
-        ln, lv = lines.next()
+    for ln, lv in _exactly(it, eof, n):
         parts = lv.split()
         if len(parts) != 4 or parts[0] != "p" or not parts[1].endswith(":"):
             raise ParseError(ln, f"expected 'p <v>: <x> <y>', got {lv!r}")
@@ -498,14 +502,11 @@ def parse_points(text: str) -> PointDrawing:
         if v in pts:
             raise ParseError(ln, f"duplicate point for vertex {v}")
         pts[v] = (_parse_coord(ln, parts[2]), _parse_coord(ln, parts[3]))
-    color = _parse_colors_section(lines, n)
-    lines.finish()
+    color = _finish(it, _read_colors(it, eof, n, *_take(it, eof)))
     return PointDrawing(tuple(pts[v] for v in range(n)), color)
 
 
-# ---------------------------------------------------------------------------
-# Class files and the instance loader
-# ---------------------------------------------------------------------------
+# --- Class files and the instance loader ---
 
 
 def serialize_class_file(drawings: list[Drawing]) -> str:
@@ -523,10 +524,7 @@ def parse_class_file(path: str) -> list[Drawing]:
 def parse_classes(text: str) -> list[Drawing]:
     """One drawing per ``n;<crossing pairs>`` line of a class file."""
     drawings = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         head, sep, rest = line.partition(";")
         if not sep:
             raise ParseError(line_no, "expected 'n;<crossing pairs>'")
@@ -546,7 +544,7 @@ def parse_tree(text: str, n: int) -> frozenset[Edge]:
     back as the tree it found.
     """
     edges = set()
-    for line_no, line in _Lines(text).items:
+    for line_no, line in _lines(text):
         key, sep, rest = line.partition(":")
         if sep:
             if key.strip() != "tree":
@@ -569,17 +567,18 @@ DRAWING_KINDS = ("drawing", "cylindrical", "book", "points")
 
 
 def detect_kind(text: str) -> str:
-    """File kind from the header token; class files have ';' records."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head in KINDS:
-            return head
-        if ";" in line and line.split(";")[0].strip().isdigit():
-            return "class"
-        raise ParseError(line_no, f"unrecognized file header {line[:40]!r}")
+    """File kind from the header token; class files have ';' records.
+    Only the first KB is split into lines, unless the header is not there."""
+    for cut in (1024, len(text)):
+        lines = _lines(text[:cut])
+        if lines[cut < len(text) :]:  # the first line is whole if the text ends or a line follows it
+            line_no, line = lines[0]
+            head = line.split()[0]
+            if head in KINDS:
+                return head
+            if ";" in line and line.split(";")[0].strip().isdigit():
+                return "class"
+            raise ParseError(line_no, f"unrecognized file header {line[:40]!r}")
     raise ParseError(1, "empty file")
 
 

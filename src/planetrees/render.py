@@ -27,8 +27,6 @@ SIZE = 520.0
 CENTER = SIZE / 2
 COLOR_PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-Renderable = Union[Drawing, CylindricalLayout, BookLayout, PointDrawing]
-
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
@@ -229,7 +227,9 @@ def _render_schematic(d: Drawing, tree: Optional[EdgeSet]) -> str:
     return _svg(body)
 
 
-def render_svg(obj: Renderable, tree: Optional[EdgeSet] = None) -> str:
+def render_svg(
+    obj: Union[Drawing, CylindricalLayout, BookLayout, PointDrawing], tree: Optional[EdgeSet] = None
+) -> str:
     """Vector image of a drawing or layout, optionally with a thick tree."""
     n = obj.n
     if n > MAX_RENDER_VERTICES:

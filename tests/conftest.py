@@ -7,9 +7,10 @@ import math
 import random
 from fractions import Fraction
 
-from planetrees.book import PAGE_BOTTOM, PAGE_TOP
+from planetrees.book import PAGE_BOTTOM, PAGE_TOP, BookLayout
 from planetrees.core import Drawing, EdgeColoring, SolveReport, all_edges, edge, edge_index, is_spanning_tree
 from planetrees.cylindrical import TURN, CylindricalLayout, NotSimpleError, side_crossings
+from planetrees.formats import ParseError
 from planetrees.generators import GenerationError, gen_coloring
 from planetrees.search import enumerate_spanning_trees, find_plane_tree
 from planetrees.straightline import PointDrawing, orient
@@ -397,3 +398,327 @@ def reference_find_plane_tree(d: Drawing, c: EdgeColoring, mode: str = "monochro
     witness = {"reason": "exhaustive scan found no plane spanning tree for the predicate",
                "mode": mode, "color": color, "n": n}
     return SolveReport("counterexample", witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# The readers as they were while every format went through a ``_Lines``
+# token stream (one method call per line, colourings through a dict and
+# ``EdgeColoring.from_map``).  tests/test_reader_reference.py compares
+# the one-pass readers of planetrees.formats with these.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceLines:
+    """Token stream over non-blank, comment-stripped lines."""
+
+    def __init__(self, text: str):
+        self.items: list[tuple[int, str]] = []
+        for i, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                self.items.append((i, line))
+        self.pos = 0
+
+    def next(self) -> tuple[int, str]:
+        if self.pos >= len(self.items):
+            last = self.items[-1][0] if self.items else 0
+            raise ParseError(last + 1, "unexpected end of input")
+        self.pos += 1
+        return self.items[self.pos - 1]
+
+    @property
+    def exhausted(self) -> bool:
+        return self.pos >= len(self.items)
+
+    def finish(self) -> None:
+        if not self.exhausted:
+            line_no, line = self.next()
+            raise ParseError(line_no, f"unexpected trailing line {line!r}")
+
+
+def _ref_int(line_no: int, token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, f"expected {what}, got {token!r}") from None
+
+
+def _ref_header(line_no: int, line: str, kind: str, fields: list[str]) -> list[int]:
+    parts = line.split()
+    if not parts or parts[0] != kind:
+        raise ParseError(line_no, f"expected {kind!r} header, got {line!r}")
+    if len(parts) != len(fields) + 1:
+        raise ParseError(line_no, f"{kind} header needs fields {fields}")
+    values = []
+    for part, name in zip(parts[1:], fields):
+        if not part.startswith(name + "="):
+            raise ParseError(line_no, f"expected {name}=<int>, got {part!r}")
+        values.append(_ref_int(line_no, part[len(name) + 1 :], f"{name} value"))
+    return values
+
+
+def _ref_edge_token(line_no: int, token: str, n: int):
+    parts = token.split("-")
+    if len(parts) != 2:
+        raise ParseError(line_no, f"expected edge token u-v, got {token!r}")
+    u = _ref_int(line_no, parts[0], "vertex")
+    v = _ref_int(line_no, parts[1], "vertex")
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ParseError(line_no, f"edge {token!r} out of range for n={n}")
+    return edge(u, v)
+
+
+def _ref_add_crossing(rows: list[int], line_no: int, text: str, n: int, adjacent_ok: bool = True) -> None:
+    toks = text.split()
+    if len(toks) != 2:
+        raise ParseError(line_no, f"expected crossing pair 'u-v w-x', got {text!r}")
+    i, j = (edge_index(n, _ref_edge_token(line_no, t, n)) for t in toks)
+    if not adjacent_ok and set(all_edges(n)[i]) & set(all_edges(n)[j]):
+        raise ParseError(line_no, f"adjacent edges cannot cross: {text!r}")
+    if rows[i] >> j & 1:
+        raise ParseError(line_no, f"duplicate crossing pair {text!r}")
+    rows[i] |= 1 << j
+    rows[j] |= 1 << i
+
+
+def _ref_fraction(line_no: int, token: str) -> Fraction:
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(token))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(line_no, f"expected rational p/q, got {token!r}") from None
+
+
+def _ref_color_lines(lines: _ReferenceLines, n: int, k: int) -> EdgeColoring:
+    mapping = {}
+    m = n * (n - 1) // 2
+    while len(mapping) < m:
+        line_no, line = lines.next()
+        parts = line.split()
+        if len(parts) != 5 or parts[0] != "e" or parts[3] != ":":
+            raise ParseError(line_no, f"expected color line 'e u v : c', got {line!r}")
+        u = _ref_int(line_no, parts[1], "vertex")
+        v = _ref_int(line_no, parts[2], "vertex")
+        c = _ref_int(line_no, parts[4], "color")
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ParseError(line_no, f"edge {u} {v} out of range for n={n}")
+        e = edge(u, v)
+        if e in mapping:
+            raise ParseError(line_no, f"duplicate color for edge {e[0]}-{e[1]}")
+        if not 0 <= c < k:
+            raise ParseError(line_no, f"color index {c} out of range for k={k}")
+        mapping[e] = c
+    return EdgeColoring.from_map(n, k, mapping)
+
+
+def _ref_colors_section(lines: _ReferenceLines, n: int) -> EdgeColoring:
+    line_no, line = lines.next()
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "colors:" or not parts[1].startswith("k="):
+        raise ParseError(line_no, f"expected 'colors: k=<k>', got {line!r}")
+    return _ref_color_lines(lines, n, _ref_int(line_no, parts[1][2:], "k value"))
+
+
+def reference_parse_drawing(text: str):
+    """parse_drawing before duplicates were refused: a later rotation or
+    label line, ``xorder`` line or ``colors`` section replaces the
+    earlier one, and a missing rotation or label is reported on line 0."""
+    lines = _ReferenceLines(text)
+    line_no, line = lines.next()
+    (n,) = _ref_header(line_no, line, "drawing", ["n"])
+    rows = [0] * (n * (n - 1) // 2)
+    rotations = labels = x_order = coloring = section = None
+    while not lines.exhausted:
+        line_no, line = lines.next()
+        toks = line.split()
+        head = toks[0]
+        if head == "crossings:":
+            section = "crossings"
+        elif head == "rotations:":
+            section, rotations = "rotations", [None] * n
+        elif head == "labels:":
+            section, labels = "labels", {}
+        elif head == "xorder:":
+            x_order = tuple(_ref_int(line_no, t, "vertex") for t in toks[1:])
+            if sorted(x_order) != list(range(n)):
+                raise ParseError(line_no, "xorder must be a permutation of the vertices")
+            section = None
+        elif head == "colors:":
+            lines.pos -= 1
+            coloring, section = _ref_colors_section(lines, n), None
+        elif section == "crossings":
+            _ref_add_crossing(rows, line_no, line, n)
+        elif section == "rotations":
+            v_tok, _, rest = line.partition(":")
+            v = _ref_int(line_no, v_tok.strip(), "vertex")
+            if not 0 <= v < n:
+                raise ParseError(line_no, f"rotation vertex {v} out of range")
+            rotations[v] = tuple(_ref_int(line_no, t, "vertex") for t in rest.split())
+        elif section == "labels":
+            v_tok, _, rest = line.partition(":")
+            labels[_ref_int(line_no, v_tok.strip(), "vertex")] = rest.strip()
+        else:
+            raise ParseError(line_no, f"unexpected line {line!r}")
+    if rotations is not None:
+        missing = [v for v, r in enumerate(rotations) if r is None]
+        if missing:
+            raise ParseError(0, f"rotations section missing vertex {missing[0]}")
+        rotations = tuple(rotations)
+    if labels is not None:
+        if sorted(labels) != list(range(n)):
+            raise ParseError(0, "labels section must cover every vertex")
+        labels = tuple(labels[v] for v in range(n))
+    return Drawing.from_rows(n, rows, rotations, labels), coloring, x_order
+
+
+def reference_parse_coloring(text: str) -> EdgeColoring:
+    lines = _ReferenceLines(text)
+    line_no, line = lines.next()
+    n, k = _ref_header(line_no, line, "coloring", ["n", "k"])
+    coloring = _ref_color_lines(lines, n, k)
+    lines.finish()
+    return coloring
+
+
+def reference_parse_cylindrical(text: str) -> CylindricalLayout:
+    lines = _ReferenceLines(text)
+    line_no, line = lines.next()
+    p, q = _ref_header(line_no, line, "cylindrical", ["n_inner", "n_outer"])
+    n = p + q
+
+    def expect_section(name: str) -> None:
+        ln, lv = lines.next()
+        if lv != name:
+            raise ParseError(ln, f"expected section {name!r}, got {lv!r}")
+
+    def angle_lines(count: int, offset: int, what: str):
+        angles = {}
+        for _ in range(count):
+            ln, lv = lines.next()
+            v_tok, sep, rest = lv.partition(":")
+            if not sep:
+                raise ParseError(ln, f"expected '<vertex>: <angle>', got {lv!r}")
+            v = _ref_int(ln, v_tok.strip(), "vertex")
+            if not offset <= v < offset + count:
+                raise ParseError(ln, f"{what} vertex {v} out of range")
+            if v in angles:
+                raise ParseError(ln, f"duplicate angle for vertex {v}")
+            angles[v] = _ref_fraction(ln, rest.strip())
+        return tuple(angles[v] for v in range(offset, offset + count))
+
+    expect_section("inner:")
+    inner = angle_lines(p, 0, "inner")
+    expect_section("outer:")
+    outer = angle_lines(q, p, "outer")
+    expect_section("windings:")
+    windings = {}
+    for _ in range(p * q):
+        ln, lv = lines.next()
+        head, sep, rest = lv.partition(":")
+        toks = head.split()
+        if not sep or len(toks) != 2:
+            raise ParseError(ln, f"expected '<u> <w>: <winding>', got {lv!r}")
+        u = _ref_int(ln, toks[0], "inner vertex")
+        w = _ref_int(ln, toks[1], "outer vertex")
+        if not (0 <= u < p and p <= w < n):
+            raise ParseError(ln, f"winding pair {u} {w} out of range")
+        if (u, w) in windings:
+            raise ParseError(ln, f"duplicate winding for {u} {w}")
+        windings[(u, w)] = _ref_fraction(ln, rest.strip())
+    color = _ref_colors_section(lines, n)
+    lines.finish()
+    wind = tuple(tuple(windings[(i, p + j)] for j in range(q)) for i in range(p))
+    return CylindricalLayout(inner, outer, wind, color)
+
+
+def reference_parse_book(text: str) -> BookLayout:
+    lines = _ReferenceLines(text)
+    line_no, line = lines.next()
+    (n,) = _ref_header(line_no, line, "book", ["n"])
+    ln, lv = lines.next()
+    if not lv.startswith("spine:"):
+        raise ParseError(ln, f"expected 'spine: ...', got {lv!r}")
+    spine = tuple(_ref_int(ln, t, "vertex") for t in lv.split()[1:])
+    if sorted(spine) != list(range(n)):
+        raise ParseError(ln, "spine must be a permutation of 0..n-1")
+    pages = {}
+    for name, page in (("top:", PAGE_TOP), ("bottom:", PAGE_BOTTOM)):
+        ln, lv = lines.next()
+        if lv.split()[0] != name:
+            raise ParseError(ln, f"expected section {name!r}, got {lv!r}")
+        for tok in lv.split()[1:]:
+            e = _ref_edge_token(ln, tok, n)
+            if e in pages:
+                raise ParseError(ln, f"edge {tok} assigned to two pages")
+            pages[e] = page
+    missing = [e for e in all_edges(n) if e not in pages]
+    if missing:
+        raise ParseError(ln, f"edge {missing[0][0]}-{missing[0][1]} has no page")
+    color = _ref_colors_section(lines, n)
+    lines.finish()
+    return BookLayout.from_maps(spine, pages, color)
+
+
+def reference_parse_points(text: str) -> PointDrawing:
+    lines = _ReferenceLines(text)
+    line_no, line = lines.next()
+    (n,) = _ref_header(line_no, line, "points", ["n"])
+    pts = {}
+    for _ in range(n):
+        ln, lv = lines.next()
+        parts = lv.split()
+        if len(parts) != 4 or parts[0] != "p" or not parts[1].endswith(":"):
+            raise ParseError(ln, f"expected 'p <v>: <x> <y>', got {lv!r}")
+        v = _ref_int(ln, parts[1][:-1], "vertex")
+        if not 0 <= v < n:
+            raise ParseError(ln, f"point vertex {v} out of range")
+        if v in pts:
+            raise ParseError(ln, f"duplicate point for vertex {v}")
+        coords = [_ref_fraction(ln, t) for t in parts[2:]]
+        pts[v] = tuple(int(f) if f.denominator == 1 else f for f in coords)
+    color = _ref_colors_section(lines, n)
+    lines.finish()
+    return PointDrawing(tuple(pts[v] for v in range(n)), color)
+
+
+def reference_parse_classes(text: str) -> list[Drawing]:
+    drawings = []
+    for line_no, line in _ReferenceLines(text).items:
+        head, sep, rest = line.partition(";")
+        if not sep:
+            raise ParseError(line_no, "expected 'n;<crossing pairs>'")
+        n = _ref_int(line_no, head.strip(), "vertex count")
+        rows = [0] * (n * (n - 1) // 2)
+        rest = rest.strip()
+        for chunk in rest.split(",") if rest else []:
+            _ref_add_crossing(rows, line_no, chunk, n, adjacent_ok=False)
+        drawings.append(Drawing.from_rows(n, rows))
+    return drawings
+
+
+def reference_parse_tree(text: str, n: int) -> frozenset:
+    edges = set()
+    for line_no, line in _ReferenceLines(text).items:
+        key, sep, rest = line.partition(":")
+        if sep:
+            if key.strip() != "tree":
+                continue
+            line = rest
+        edges.update(_ref_edge_token(line_no, tok, n) for tok in line.split())
+    return frozenset(edges)
+
+
+def reference_detect_kind(text: str) -> str:
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split()[0]
+        if head in ("drawing", "coloring", "cylindrical", "book", "points"):
+            return head
+        if ";" in line and line.split(";")[0].strip().isdigit():
+            return "class"
+        raise ParseError(line_no, f"unrecognized file header {line[:40]!r}")
+    raise ParseError(1, "empty file")

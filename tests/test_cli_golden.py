@@ -7,7 +7,8 @@ argv (``@name`` stands for a file's path), the exit code and the exact
 stdout.  It covers validate, solve for all four classes with and
 without ``--assert-invariants``, brute in mono, hypo and avoid modes,
 and verify on n <= 6 files, class files and ``--gen`` instances.
-Stderr is not compared, so an error message may be reworded.
+Stderr is compared only in the cases that record it, the drawing files
+refused for a repeated line; elsewhere an error message may be reworded.
 
 A change that alters the output on purpose re-records the expected
 values with ``python tests/test_cli_golden.py --record``.
@@ -37,10 +38,10 @@ def write_files(directory: str) -> None:
             fh.write(info["text"])
 
 
-def run_case(argv: list[str], directory: str) -> tuple[int, str]:
+def run_case(argv: list[str], directory: str, err: io.StringIO | None = None) -> tuple[int, str]:
     real = [os.path.join(directory, a[1:]) if a.startswith("@") else a for a in argv]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err or io.StringIO()):
         code = main(real)
     return code, out.getvalue()
 
@@ -61,6 +62,15 @@ def test_cli_output_is_unchanged(golden_dir, case):
     assert code == case["exit"]
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in GOLDEN["cases"] if "stderr" in c], ids=lambda c: " ".join(c["argv"])
+)
+def test_refusal_message_is_unchanged(golden_dir, case):
+    err = io.StringIO()
+    assert run_case(case["argv"], golden_dir, err) == (case["exit"], case["stdout"])
+    assert err.getvalue() == case["stderr"]
+
+
 def test_golden_set_covers_every_command():
     commands = {(c["argv"][0], c["argv"][2] if c["argv"][0] == "solve" else None) for c in GOLDEN["cases"]}
     assert {("validate", None), ("brute", None), ("verify", None)} <= commands
@@ -76,7 +86,10 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     with tempfile.TemporaryDirectory() as tmp:
         write_files(tmp)
         for case in GOLDEN["cases"]:
-            case["exit"], case["stdout"] = run_case(case["argv"], tmp)
+            err = io.StringIO()
+            case["exit"], case["stdout"] = run_case(case["argv"], tmp, err)
+            if "stderr" in case:
+                case["stderr"] = err.getvalue()
     with open(DATA, "w", encoding="ascii") as fh:
         json.dump(GOLDEN, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -179,3 +179,81 @@ def test_parse_tree_reads_plain_and_report_lines():
     assert parse_tree(text, 4) == frozenset({(0, 1), (1, 2), (2, 3)})
     with pytest.raises(ParseError, match="line 1: edge '0-4' out of range for n=4"):
         parse_tree("0-4\n", 4)
+
+
+# ----------------------------------------------------------------------
+# repeats are refused; a missing rotation or label names its header line
+# ----------------------------------------------------------------------
+
+DRAWING_K4 = (
+    "drawing n=4\ncrossings:\n0-2 1-3\n"
+    "rotations:\n0: 1 2 3\n1: 0 2 3\n2: 0 1 3\n3: 0 1 2\n"
+    "labels:\n0: a\n1: b\n2: c\n3: d\n"
+    "xorder: 0 1 2 3\n"
+    "colors: k=2\ne 0 1 : 0\ne 0 2 : 0\ne 0 3 : 0\ne 1 2 : 1\ne 1 3 : 1\ne 2 3 : 1\n"
+)
+
+
+def with_line(text: str, after: int, line: str) -> str:
+    lines = text.splitlines()
+    return "\n".join(lines[:after] + [line] + lines[after:]) + "\n"
+
+
+def test_drawing_k4_fixture_reads():
+    d, c, xo = parse_drawing(DRAWING_K4)
+    assert d.rotations[0] == (1, 2, 3) and d.vertex_labels == ("a", "b", "c", "d")
+    assert xo == (0, 1, 2, 3) and c.colors == (0, 0, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "after, line, message",
+    [
+        (5, "0: 2 1 3", "line 6: duplicate rotation for vertex 0"),
+        (8, "3: 0 2 1", "line 9: duplicate rotation for vertex 3"),
+        (11, "1: z", "line 12: duplicate label for vertex 1"),
+        (14, "xorder: 3 2 1 0", "line 15: duplicate xorder section; the first is on line 14"),
+        (8, "rotations:", "line 9: duplicate rotations section; the first is on line 4"),
+        (13, "labels:", "line 14: duplicate labels section; the first is on line 9"),
+        (21, "colors: k=2", "line 22: duplicate colors section; the first is on line 15"),
+    ],
+)
+def test_drawing_repeats_are_refused(after, line, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_drawing(with_line(DRAWING_K4, after, line))
+
+
+def test_a_second_crossings_header_continues_the_section():
+    d, _, _ = parse_drawing("drawing n=4\ncrossings:\ncrossings:\n0-2 1-3\n")
+    assert d.crossings == frozenset({((0, 2), (1, 3))})
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [(6, "line 4: rotations section missing vertex 1"), (11, "line 9: labels section must cover every vertex")],
+)
+def test_missing_rotation_or_label_names_the_section_header(drop, message):
+    lines = DRAWING_K4.splitlines()
+    del lines[drop - 1]
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_drawing("\n".join(lines) + "\n")
+
+
+def test_short_colour_section_builds_nothing_sized_by_the_header():
+    from planetrees.formats import _color_prefix_ranks
+
+    before = _color_prefix_ranks.cache_info().currsize
+    with pytest.raises(ParseError, match="^line 3: unexpected end of input$"):
+        parse_coloring("coloring n=2000 k=2\ne 0 1 : 0\n")
+    assert _color_prefix_ranks.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("pad", [0, 1, 500, 1021, 1022, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("filler", ["\n", "\r\n", "#\n", "# comment line\r\n"])
+def test_detect_kind_past_a_long_preamble(pad, filler):
+    preamble = filler * (pad // len(filler)) + " " * (pad % len(filler))
+    lines_before = len((preamble + "x").splitlines()) - 1
+    assert detect_kind(preamble + "points n=2\n") == "points"
+    with pytest.raises(ParseError, match=f"^line {lines_before + 1}: unrecognized file header 'nonsense'$"):
+        detect_kind(preamble + "nonsense\n")
+    with pytest.raises(ParseError, match="^line 1: empty file$"):
+        detect_kind(preamble)

@@ -1,3 +1,8 @@
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 
 from planetrees.core import Drawing
@@ -52,3 +57,24 @@ def test_render_vertex_guard():
     d = Drawing(51, frozenset())
     with pytest.raises(ValueError, match="50"):
         render_svg(d)
+
+
+def _package_modules() -> list[str]:
+    return [name for name in sys.modules if name == "planetrees" or name.startswith("planetrees.")]
+
+
+def test_a_dropped_import_of_the_package_is_freed():
+    """A fresh import of every module, once dropped from sys.modules, leaves
+    no class alive: no module-level typing construct (whose cache outlives
+    the module) holds one."""
+    saved = {name: sys.modules.pop(name) for name in _package_modules()}
+    try:
+        for name in saved:
+            importlib.import_module(name)
+        fresh = weakref.ref(sys.modules["planetrees.core"].Drawing)
+    finally:
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert fresh() is None

@@ -7,8 +7,9 @@ argv (``@name`` stands for a file's path), the exit code and the exact
 stdout.  It covers validate, solve for all four classes with and
 without ``--assert-invariants``, brute in mono, hypo and avoid modes,
 and verify on n <= 6 files, class files and ``--gen`` instances.
-Stderr is compared only in the cases that record it, the drawing files
-refused for a repeated line; elsewhere an error message may be reworded.
+Stderr is compared only in the cases that record it: the drawing files
+refused for a repeated line, and ``gen`` and ``verify --gen`` refused
+for a missing size flag.  Elsewhere an error message may be reworded.
 
 A change that alters the output on purpose re-records the expected
 values with ``python tests/test_cli_golden.py --record``.

@@ -16,26 +16,26 @@ import sys
 from typing import Optional
 
 from . import formats
-from .book import compile_book, solve_book
+from .book import solve_book
 from .core import (
     Drawing,
     SolveReport,
     STATUS_TREE_FOUND,
     validate_drawing,
 )
-from .cylindrical import compile_layout, solve_cylindrical
+from .cylindrical import solve_cylindrical
 from .generators import gen_book, gen_coloring, gen_cylindrical, gen_points
 from .monotone import MAX_GROUP_SPAN, MonotoneDrawing, solve_monotone
 from .render import render_svg
 from .search import (
     JOBS_ENV,
     VerifyReport,
+    _check_desk_scale,
     find_plane_tree,
-    long_run_enabled,
     verify_all_colorings,
     verify_classes,
 )
-from .straightline import compile_points, solve_points
+from .straightline import solve_points
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -129,32 +129,31 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INPUT_ERROR
 
 
-# Solver class -> the file kinds it reads; a layout solver compiles its layout itself.
-SOLVE_KINDS = {"cylindrical": ("cylindrical",), "book": ("book",),
-               "pseudolinear": ("points",), "monotone": ("points", "drawing")}
+def _solve_monotone(inst: formats.Instance, args) -> SolveReport:
+    """The monotone solver on a point set, or on a drawing with an x-order and a colouring."""
+    if inst.kind == "points":
+        return solve_monotone(MonotoneDrawing.from_points(inst.value), inst.coloring, d=args.group_span)
+    d = _checked(inst.drawing())
+    if inst.x_order is None:
+        raise ValueError("monotone solver needs an xorder line in drawing files")
+    if inst.coloring is None:
+        raise ValueError("monotone solver needs a coloring (embedded or --colors)")
+    return solve_monotone(MonotoneDrawing(d, inst.x_order), inst.coloring, d=args.group_span)
+
+
+# solve --class -> (the file kinds it reads, its solver of (instance, args)); layout solvers compile their layout.
+SOLVERS = {
+    "cylindrical": (("cylindrical",), lambda inst, args: solve_cylindrical(inst.value, args.assert_invariants)),
+    "book": (("book",), lambda inst, args: solve_book(inst.value)),
+    "pseudolinear": (("points",), lambda inst, args: solve_points(inst.value)),
+    "monotone": (("points", "drawing"), _solve_monotone),
+}
 
 
 def cmd_solve(args) -> int:
-    cls = args.solver_class
-    inst = _load(_read(args.file), f"solver class {cls}", SOLVE_KINDS[cls], args.colors)
-    if cls == "cylindrical":
-        rep = solve_cylindrical(inst.value, assert_invariants=args.assert_invariants)
-    elif cls == "book":
-        rep = solve_book(inst.value)
-    elif cls == "pseudolinear":
-        rep = solve_points(inst.value)
-    else:  # monotone
-        if inst.kind == "points":
-            dr = MonotoneDrawing.from_points(inst.value)
-        else:
-            d = _checked(inst.drawing())
-            if inst.x_order is None:
-                raise ValueError("monotone solver needs an xorder line in drawing files")
-            if inst.coloring is None:
-                raise ValueError("monotone solver needs a coloring (embedded or --colors)")
-            dr = MonotoneDrawing(d, inst.x_order)
-        rep = solve_monotone(dr, inst.coloring, d=args.group_span)
-    _emit("class", cls)
+    kinds, solve = SOLVERS[args.solver_class]
+    rep = solve(_load(_read(args.file), f"solver class {args.solver_class}", kinds, args.colors), args)
+    _emit("class", args.solver_class)
     _emit_report(rep)
     return _report_exit(rep)
 
@@ -200,33 +199,42 @@ def _emit_verify(report: VerifyReport) -> int:
     return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
 
 
+# gen --class -> (its size flags, its generator of (*sizes, seed, k), its writer).
+GENERATORS = {
+    "cylindrical": (("n_inner", "n_outer"), gen_cylindrical, formats.serialize_cylindrical),
+    "book": (("n",), gen_book, formats.serialize_book),
+    "points": (("n",), gen_points, formats.serialize_points),
+    "coloring": (("n",), lambda n, seed, k: gen_coloring(n, k, seed), formats.serialize_coloring),
+}
+
+
+def _generate(cls: str, sizes: dict[str, Optional[int]], seed: int, k: int = 2):
+    """The seeded instance of ``gen --class cls`` with the size flags in ``sizes``."""
+    flags, generate, _ = GENERATORS[cls]
+    values = [sizes[flag] for flag in flags]
+    if None in values:
+        raise ValueError(f"gen --class {cls} needs " + " and ".join("--" + f.replace("_", "-") for f in flags))
+    if sum(values) > formats.MAX_VERTICES:
+        raise ValueError(f"n={sum(values)} exceeds the limit of {formats.MAX_VERTICES} vertices")
+    return generate(*values, seed, k)
+
+
 def _generated_drawing(args) -> Drawing:
-    seed = args.seed
     n = args.n
     if n is None:
         raise ValueError("verify --gen needs --n")
-    if args.gen == "cylindrical":
-        n_inner = args.n_inner if args.n_inner is not None else n // 2
-        return compile_layout(gen_cylindrical(n_inner, n - n_inner, seed))
-    if args.gen == "book":
-        return compile_book(gen_book(n, seed))
-    if args.gen == "points":
-        return compile_points(gen_points(n, seed))
-    raise ValueError(f"unknown generator class {args.gen!r}")
+    _check_desk_scale(n, args.long_run)
+    n_inner = n // 2 if args.n_inner is None else args.n_inner
+    sizes = {"n": n, "n_inner": n_inner, "n_outer": n - n_inner}
+    return formats.KINDS[args.gen][1](_generate(args.gen, sizes, args.seed))
 
 
 def cmd_verify(args) -> int:
-    long_run = args.long_run or long_run_enabled()
-    jobs = args.jobs
-    if args.gen is not None:
-        if args.start is not None:
-            raise ValueError("--start applies only to class files, not to --gen instances")
-        d = _generated_drawing(args)
-    else:
+    if args.gen is None:
         text = _read(args.file)
         kind = formats.detect_kind(text)
         if kind == "class":
-            report = verify_classes(formats.parse_classes(text), long_run, jobs, args.start or 0)
+            report = verify_classes(formats.parse_classes(text), args.long_run, args.jobs, args.start or 0)
             _emit("records", report.records_verified)
             _emit("colorings", report.colorings_checked)
             _emit("failures", len(report.failures))
@@ -234,34 +242,15 @@ def cmd_verify(args) -> int:
                 _emit(f"failing-record-{rec_no}", fail["coloring"])
             _emit("status", "verified" if report.passed else "counterexample")
             return EXIT_OK if report.passed else EXIT_COUNTEREXAMPLE
-        if args.start is not None:
-            raise ValueError(f"--start applies only to class files, not to {kind} files")
-        d = _checked(_load(text, "verify").drawing())
-    return _emit_verify(verify_all_colorings(d, long_run=long_run, jobs=jobs))
+    if args.start is not None:
+        source = "--gen instances" if args.gen else f"{kind} files"
+        raise ValueError(f"--start applies only to class files, not to {source}")
+    d = _checked(_load(text, "verify").drawing()) if args.gen is None else _generated_drawing(args)
+    return _emit_verify(verify_all_colorings(d, long_run=args.long_run, jobs=args.jobs))
 
 
 def cmd_gen(args) -> int:
-    cls = args.gen_class
-    if cls == "cylindrical":
-        if args.n_inner is None or args.n_outer is None:
-            raise ValueError("gen --class cylindrical needs --n-inner and --n-outer")
-        text = formats.serialize_cylindrical(
-            gen_cylindrical(args.n_inner, args.n_outer, args.seed, k=args.k)
-        )
-    elif cls == "book":
-        if args.n is None:
-            raise ValueError("gen --class book needs --n")
-        text = formats.serialize_book(gen_book(args.n, args.seed, k=args.k))
-    elif cls == "points":
-        if args.n is None:
-            raise ValueError("gen --class points needs --n")
-        text = formats.serialize_points(gen_points(args.n, args.seed, k=args.k))
-    elif cls == "coloring":
-        if args.n is None:
-            raise ValueError("gen --class coloring needs --n")
-        text = formats.serialize_coloring(gen_coloring(args.n, args.k, args.seed))
-    else:
-        raise ValueError(f"unknown generator class {cls!r}")
+    text = GENERATORS[args.gen_class][2](_generate(args.gen_class, vars(args), args.seed, args.k))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -326,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_solve = sub.add_parser("solve", help="run a constructive solver")
-    p_solve.add_argument("--class", dest="solver_class", required=True,
-                         choices=["cylindrical", "book", "pseudolinear", "monotone"])
+    p_solve.add_argument("--class", dest="solver_class", required=True, choices=SOLVERS)
     p_solve.add_argument("file")
     p_solve.add_argument("--colors", help="coloring file overriding the embedded one")
     p_solve.add_argument("--assert-invariants", action="store_true",
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=LONG_RUN_NOTE,
     )
     p_verify.add_argument("file", nargs="?", help="drawing, layout, or class file")
-    p_verify.add_argument("--gen", choices=["cylindrical", "book", "points"],
+    p_verify.add_argument("--gen", choices=[c for c in GENERATORS if formats.KINDS[c][1]],
                           help="verify a generated instance instead of a file")
     p_verify.add_argument("--n", type=int, help="vertex count for --gen")
     p_verify.add_argument("--n-inner", type=int, help="inner-circle size for --gen cylindrical")
@@ -369,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance")
-    p_gen.add_argument("--class", dest="gen_class", required=True,
-                       choices=["cylindrical", "book", "points", "coloring"])
+    p_gen.add_argument("--class", dest="gen_class", required=True, choices=GENERATORS)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--n-inner", type=int)

@@ -45,6 +45,9 @@ Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
     colors: k=<k>       (required)
 
 Class files are one drawing per line, ``n;<crossing pairs comma-separated>``.
+A drawing, layout or class-record header may declare at most
+``MAX_VERTICES`` = 128 vertices (an annulus counts both circles); a larger
+one is refused on its header line before anything is sized by it.
 Tree files (``render --tree``) hold ``u-v`` tokens, plain or after ``tree:``.
 
 ``load_instance(text)`` reads every other file: the header picks its
@@ -66,6 +69,11 @@ from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
 from .core import Drawing, Edge, EdgeColoring, _edge_bits, edge, edge_index, edge_table, row_pairs
 from .cylindrical import CylindricalLayout, compile_layout
 from .straightline import PointDrawing, compile_points
+
+# The largest vertex count a drawing, layout or class-record header may
+# declare.  A drawing's crossing rows and a book's edge table are sized by
+# the header before any other line is read; every command works far below it.
+MAX_VERTICES = 128
 
 
 class ParseError(ValueError):
@@ -127,12 +135,22 @@ def _parse_header_fields(line_no: int, line: str, kind: str, fields: list[str]) 
     return values
 
 
+def _check_vertex_count(line_no: int, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(line_no, f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
+
+
 def _open(text: str, kind: str, fields: list[str]) -> tuple[Iterator[tuple[int, str]], int, list[int]]:
-    """An iterator past a file's header, the line of its end, and the header's fields."""
+    """An iterator past a file's header, the line of its end, and the header's fields.
+    A drawing or layout header above ``MAX_VERTICES`` vertices is refused; a
+    colouring sizes nothing by its header until its lines are there."""
     lines = _lines(text)
     it, eof = iter(lines), lines[-1][0] + 1 if lines else 1
     line_no, line = _take(it, eof)
-    return it, eof, _parse_header_fields(line_no, line, kind, fields)
+    values = _parse_header_fields(line_no, line, kind, fields)
+    if kind != "coloring":
+        _check_vertex_count(line_no, sum(values))
+    return it, eof, values
 
 
 def _parse_edge_token(line_no: int, token: str, n: int) -> Edge:
@@ -529,6 +547,7 @@ def parse_classes(text: str) -> list[Drawing]:
         if not sep:
             raise ParseError(line_no, "expected 'n;<crossing pairs>'")
         n = _parse_int(line_no, head.strip(), "vertex count")
+        _check_vertex_count(line_no, n)
         rows = [0] * len(_edge_bits(n))
         rest = rest.strip()
         for chunk in rest.split(",") if rest else []:

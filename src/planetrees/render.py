@@ -7,18 +7,19 @@ drawings use straight segments.  Abstract drawings (no geometry) are
 rendered schematically with the vertices on a circle, so their
 crossing pattern is not meaningful in the picture.
 
-A highlighted tree is emitted as a separate thick-stroked group.  The
-output is byte-identical for identical inputs.
+Every picture is assembled the same way: guides, the edges in rank
+order, a highlighted tree as a separate thick-stroked group, then the
+vertex dots.  The output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .book import PAGE_TOP, BookLayout
-from .core import Drawing, EdgeSet, all_edges, edge
+from .core import Drawing, Edge, EdgeColoring, EdgeSet, edge, edge_table
 from .cylindrical import CylindricalLayout
 from .straightline import PointDrawing
 
@@ -36,40 +37,51 @@ def _pt(x: float, y: float) -> str:
     return f"{_fmt(x)},{_fmt(y)}"
 
 
-def _edge_color(coloring, e) -> str:
+def _figure(
+    guides: list[str],
+    positions: list[tuple[float, float]],
+    path_of: Callable[[Edge], tuple[str, str]],
+    coloring: Optional[EdgeColoring],
+    tree: Optional[EdgeSet],
+) -> str:
+    """The SVG document: guides, the edges in rank order, the tree, then the vertex dots.
+
+    ``path_of(e)`` is the element of edge e as (tag, attributes).  Edges
+    are stroked by colour, or drawn grey and 1 px wide in a schematic
+    drawing, which has no colouring.
+    """
+    elements = [(e, *path_of(e)) for e in edge_table(len(positions))]
     if coloring is None:
-        return "#555555"
-    return COLOR_PALETTE[coloring.color_of_edge(e) % len(COLOR_PALETTE)]
-
-
-def _svg(body: list[str]) -> str:
-    head = (
+        group, strokes = 'stroke="#777777" stroke-width="1"', [""] * len(elements)
+    else:
+        group = 'stroke-width="1.4"'
+        strokes = [f'stroke="{COLOR_PALETTE[c % len(COLOR_PALETTE)]}" ' for c in coloring.colors]
+    body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
-        f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def _vertex_dots(positions: dict[int, tuple[float, float]]) -> list[str]:
-    out = ['<g class="vertices">']
-    for v in sorted(positions):
-        x, y = positions[v]
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#000000"/>')
-        out.append(
+        f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
+        *guides,
+        f'<g class="edges" fill="none" {group}>',
+        *(f"<{tag} {stroke}{attrs}/>" for (_, tag, attrs), stroke in zip(elements, strokes)),
+        "</g>",
+    ]
+    if tree:
+        body.append('<g class="tree" stroke="#000000" stroke-width="4" fill="none" opacity="0.45">')
+        body.extend(f"<{tag} {attrs}/>" for e, tag, attrs in elements if e in tree)
+        body.append("</g>")
+    body.append('<g class="vertices">')
+    for v, (x, y) in enumerate(positions):
+        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#000000"/>')
+        body.append(
             f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="11" '
             f'font-family="monospace">{v}</text>'
         )
-    out.append("</g>")
-    return out
+    body.extend(["</g>", "</svg>"])
+    return "\n".join(body) + "\n"
 
 
-def _tree_group(tree: EdgeSet, path_of: dict) -> list[str]:
-    out = ['<g class="tree" stroke="#000000" stroke-width="4" fill="none" opacity="0.45">']
-    for e in sorted(tree):
-        if e in path_of:
-            out.append(path_of[e])
-    out.append("</g>")
-    return out
+def _segments(positions: list[tuple[float, float]]) -> Callable[[Edge], tuple[str, str]]:
+    """``path_of`` for straight segments between the vertices."""
+    return lambda e: ("path", f'd="M {_pt(*positions[e[0]])} L {_pt(*positions[e[1]])}"')
 
 
 def _annulus_xy(angle_pi: float, radius: float) -> tuple[float, float]:
@@ -80,151 +92,75 @@ def _annulus_xy(angle_pi: float, radius: float) -> tuple[float, float]:
 def _render_cylindrical(layout: CylindricalLayout, tree: Optional[EdgeSet]) -> str:
     p, n = layout.n_inner, layout.n
     r_in, r_out = 95.0, 205.0
-    body = [
-        f'<circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(r_in)}" '
-        'fill="none" stroke="#cccccc" stroke-dasharray="4 3"/>',
-        f'<circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(r_out)}" '
-        'fill="none" stroke="#cccccc" stroke-dasharray="4 3"/>',
+    guides = [
+        f'<circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(r)}" '
+        'fill="none" stroke="#cccccc" stroke-dasharray="4 3"/>'
+        for r in (r_in, r_out)
     ]
-    positions = {}
-    for v in range(n):
-        if v < p:
-            positions[v] = _annulus_xy(float(layout.inner_angles[v]), r_in)
-        else:
-            positions[v] = _annulus_xy(float(layout.outer_angles[v - p]), r_out)
+    positions = [_annulus_xy(float(a), r_in) for a in layout.inner_angles]
+    positions += [_annulus_xy(float(a), r_out) for a in layout.outer_angles]
+    chord = _segments(positions)
 
-    def side_path(e) -> str:
+    def path_of(e) -> tuple[str, str]:
         u, w = e
-        a = float(layout.inner_angles[u])
-        d = float(layout.windings[u][w - p])
-        pts = []
-        for s in range(65):
-            t = s / 64
-            pts.append(_pt(*_annulus_xy(a + t * d, r_in + t * (r_out - r_in))))
-        return f'<polyline points="{" ".join(pts)}"/>'
-
-    def chord_path(e) -> str:
-        (x1, y1), (x2, y2) = positions[e[0]], positions[e[1]]
-        return f'<path d="M {_pt(x1, y1)} L {_pt(x2, y2)}"/>'
-
-    def outer_arc_path(e) -> str:
-        a1 = float(layout.outer_angles[e[0] - p])
-        a2 = float(layout.outer_angles[e[1] - p])
+        if layout.is_side_edge(e):
+            a = float(layout.inner_angles[u])
+            d = float(layout.windings[u][w - p])
+            pts = (_pt(*_annulus_xy(a + s / 64 * d, r_in + s / 64 * (r_out - r_in))) for s in range(65))
+            return "polyline", f'points="{" ".join(pts)}"'
+        if w < p:
+            return chord(e)
+        a1 = float(layout.outer_angles[u - p])
+        a2 = float(layout.outer_angles[w - p])
         lo, hi = min(a1, a2), max(a1, a2)
         span = hi - lo
         if span > 1.0:  # use the short way around
             lo, hi = hi, lo + 2.0
             span = hi - lo
-        mid = (lo + hi) / 2
-        bulge = r_out + 18.0 + 30.0 * span
-        (x1, y1), (x2, y2) = positions[e[0]], positions[e[1]]
-        cx, cy = _annulus_xy(mid, bulge)
-        return f'<path d="M {_pt(x1, y1)} Q {_pt(cx, cy)} {_pt(x2, y2)}" fill="none"/>'
+        cx, cy = _annulus_xy((lo + hi) / 2, r_out + 18.0 + 30.0 * span)
+        return "path", f'd="M {_pt(*positions[u])} Q {_pt(cx, cy)} {_pt(*positions[w])}" fill="none"'
 
-    path_of = {}
-    for e in all_edges(n):
-        if layout.is_side_edge(e):
-            path_of[e] = side_path(e)
-        elif e[1] < p:
-            path_of[e] = chord_path(e)
-        else:
-            path_of[e] = outer_arc_path(e)
-    edge_group = ['<g class="edges" fill="none" stroke-width="1.4">']
-    for e in all_edges(n):
-        color = _edge_color(layout.color, e)
-        edge_group.append(path_of[e].replace("<path ", f'<path stroke="{color}" ').replace("<polyline ", f'<polyline stroke="{color}" '))
-    edge_group.append("</g>")
-    body.extend(edge_group)
-    if tree:
-        body.extend(_tree_group(tree, path_of))
-    body.extend(_vertex_dots(positions))
-    return _svg(body)
+    return _figure(guides, positions, path_of, layout.color, tree)
 
 
 def _render_book(layout: BookLayout, tree: Optional[EdgeSet]) -> str:
-    n = layout.n
-    pos = {v: i for i, v in enumerate(layout.spine)}
     margin = 40.0
-    step = (SIZE - 2 * margin) / max(1, n - 1)
+    step = (SIZE - 2 * margin) / max(1, layout.n - 1)
     y = CENTER
-    positions = {v: (margin + pos[v] * step, y) for v in range(n)}
-    body = [
+    x_of = {v: margin + i * step for i, v in enumerate(layout.spine)}
+    guides = [
         f'<line x1="{_fmt(margin - 15)}" y1="{_fmt(y)}" x2="{_fmt(SIZE - margin + 15)}" '
         f'y2="{_fmt(y)}" stroke="#cccccc"/>'
     ]
 
-    def arc_path(e) -> str:
-        x1 = positions[e[0]][0]
-        x2 = positions[e[1]][0]
-        lo, hi = min(x1, x2), max(x1, x2)
+    def path_of(e) -> tuple[str, str]:
+        lo, hi = sorted((x_of[e[0]], x_of[e[1]]))
         rx = (hi - lo) / 2
         ry = min(rx * 0.8, SIZE / 2 - 20)
         sweep = 1 if layout.page_of(e) == PAGE_TOP else 0
-        return (
-            f'<path d="M {_pt(lo, y)} A {_fmt(rx)} {_fmt(ry)} 0 0 {sweep} '
-            f'{_pt(hi, y)}" fill="none"/>'
-        )
+        return "path", f'd="M {_pt(lo, y)} A {_fmt(rx)} {_fmt(ry)} 0 0 {sweep} {_pt(hi, y)}" fill="none"'
 
-    path_of = {e: arc_path(e) for e in all_edges(n)}
-    edge_group = ['<g class="edges" fill="none" stroke-width="1.4">']
-    for e in all_edges(n):
-        edge_group.append(path_of[e].replace("<path ", f'<path stroke="{_edge_color(layout.color, e)}" '))
-    edge_group.append("</g>")
-    body.extend(edge_group)
-    if tree:
-        body.extend(_tree_group(tree, path_of))
-    body.extend(_vertex_dots(positions))
-    return _svg(body)
+    positions = [(x_of[v], y) for v in range(layout.n)]
+    return _figure(guides, positions, path_of, layout.color, tree)
 
 
 def _render_points(p: PointDrawing, tree: Optional[EdgeSet]) -> str:
     xs = [float(Fraction(q[0])) for q in p.points]
     ys = [float(Fraction(q[1])) for q in p.points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    lo_x, lo_y = min(xs), min(ys)
+    span = max(max(xs) - lo_x, max(ys) - lo_y, 1e-9)
     margin = 40.0
     scale = (SIZE - 2 * margin) / span
-
-    def xy(v: int) -> tuple[float, float]:
-        return (
-            margin + (xs[v] - lo_x) * scale,
-            SIZE - margin - (ys[v] - lo_y) * scale,
-        )
-
-    positions = {v: xy(v) for v in range(p.n)}
-    path_of = {
-        e: f'<path d="M {_pt(*positions[e[0]])} L {_pt(*positions[e[1]])}"/>'
-        for e in all_edges(p.n)
-    }
-    body = ['<g class="edges" fill="none" stroke-width="1.4">']
-    for e in all_edges(p.n):
-        body.append(path_of[e].replace("<path ", f'<path stroke="{_edge_color(p.color, e)}" '))
-    body.append("</g>")
-    if tree:
-        body.extend(_tree_group(tree, path_of))
-    body.extend(_vertex_dots(positions))
-    return _svg(body)
+    positions = [(margin + (x - lo_x) * scale, SIZE - margin - (y - lo_y) * scale) for x, y in zip(xs, ys)]
+    return _figure([], positions, _segments(positions), p.color, tree)
 
 
 def _render_schematic(d: Drawing, tree: Optional[EdgeSet]) -> str:
-    n = d.n
-    r = 210.0
-    positions = {
-        v: (CENTER + r * math.cos(2 * math.pi * v / n), CENTER - r * math.sin(2 * math.pi * v / n))
-        for v in range(n)
-    }
-    path_of = {
-        e: f'<path d="M {_pt(*positions[e[0]])} L {_pt(*positions[e[1]])}"/>'
-        for e in all_edges(n)
-    }
-    body = ['<g class="edges" fill="none" stroke="#777777" stroke-width="1">']
-    body.extend(path_of[e] for e in all_edges(n))
-    body.append("</g>")
-    if tree:
-        body.extend(_tree_group(tree, path_of))
-    body.extend(_vertex_dots(positions))
-    return _svg(body)
+    n, r = d.n, 210.0
+    positions = [
+        (CENTER + r * math.cos(2 * math.pi * v / n), CENTER - r * math.sin(2 * math.pi * v / n)) for v in range(n)
+    ]
+    return _figure([], positions, _segments(positions), None, tree)
 
 
 def render_svg(

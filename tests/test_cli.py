@@ -490,3 +490,49 @@ def test_verify_start_outside_a_class_file_is_refused(capsys, tmp_path, source, 
     assert code == 1
     assert out == ""
     assert err == f"error: --start applies only to class files, not to {what}\n"
+
+
+@pytest.mark.parametrize("cls", ["cylindrical", "book", "points"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        ([], "refusing exhaustive verification for n=320 > 6 without the long-run flag"),
+        (["--long-run"], "n=320 exceeds the limit of 128 vertices"),
+    ],
+    ids=["desk-scale", "long-run"],
+)
+def test_verify_gen_refuses_its_size_before_generating(capsys, monkeypatch, cls, flags, message):
+    from planetrees import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated an instance that is refused")
+
+    monkeypatch.delenv("PLANETREES_LONG_RUN", raising=False)
+    sizes, _, write = cli.GENERATORS[cls]
+    monkeypatch.setitem(cli.GENERATORS, cls, (sizes, refuse, write))
+    code, out, err = run(capsys, "verify", "--gen", cls, "--n", "320", "--seed", "0", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "sizes,n",
+    [(["--n", "129"], 129), (["--n", "100000"], 100000)],
+)
+@pytest.mark.parametrize("cls", ["book", "points", "coloring"])
+def test_gen_refuses_sizes_a_file_could_not_hold(capsys, cls, sizes, n):
+    code, out, err = run(capsys, "gen", "--class", cls, *sizes, "--seed", "0")
+    assert (code, out, err) == (1, "", f"error: n={n} exceeds the limit of 128 vertices\n")
+
+
+def test_gen_refuses_an_annulus_above_the_limit(capsys):
+    code, out, err = run(capsys, "gen", "--class", "cylindrical", "--n-inner", "64", "--n-outer", "65", "--seed", "0")
+    assert (code, out, err) == (1, "", "error: n=129 exceeds the limit of 128 vertices\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "render", "verify", "brute"])
+def test_header_above_the_limit_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.drawing"
+    path.write_text("drawing n=100000\n")
+    extra = {"render": ["-o", str(tmp_path / "out.svg")], "brute": ["--mode", "mono"]}.get(command, [])
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out, err) == (1, "", "error: line 1: n=100000 exceeds the limit of 128 vertices\n")

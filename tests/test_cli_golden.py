@@ -9,7 +9,7 @@ without ``--assert-invariants``, brute in mono, hypo and avoid modes,
 and verify on n <= 6 files, class files and ``--gen`` instances.
 Stderr is compared only in the cases that record it: the drawing files
 refused for a repeated line, and ``gen`` and ``verify --gen`` refused
-for a missing size flag.  Elsewhere an error message may be reworded.
+for a missing or too large size.  Elsewhere an error message may be reworded.
 
 A change that alters the output on purpose re-records the expected
 values with ``python tests/test_cli_golden.py --record``.

@@ -257,3 +257,45 @@ def test_detect_kind_past_a_long_preamble(pad, filler):
         detect_kind(preamble + "nonsense\n")
     with pytest.raises(ParseError, match="^line 1: empty file$"):
         detect_kind(preamble)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "drawing n=100000\n",
+        "drawing n=100000\ncrossings:\n0-2 1-3\n",
+        "100000;\n",
+        "4;\n100000;0-2 1-3\n",
+        "book n=100000\nspine: 0 1\n",
+        "points n=100000\n",
+        "cylindrical n_inner=50000 n_outer=50000\n",
+    ],
+)
+def test_header_above_the_vertex_limit_is_refused_before_anything_is_sized(text):
+    import tracemalloc
+
+    from planetrees.formats import load_instance, parse_classes
+
+    record = ";" in text
+    line = text.count("\n") if record else 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^line {line}: n=100000 exceeds the limit of 128 vertices$"):
+            (parse_classes if record else load_instance)(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["drawing n=128", "book n=128", "points n=128", "cylindrical n_inner=64 n_outer=64", "coloring n=2000 k=2"],
+)
+def test_header_at_the_vertex_limit_reads_on(header):
+    from planetrees.formats import MAX_VERTICES, load_instance
+
+    assert MAX_VERTICES == 128
+    with pytest.raises(ParseError) as info:
+        load_instance(header + "\nnonsense\n")
+    assert info.value.line_no == 2

@@ -25,7 +25,7 @@ from planetrees.straightline import compile_points
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "render_golden.json")
 
-BUILDERS = {
+GENERATED = {
     "cylindrical": lambda n, seed, k: gen_cylindrical(n // 2, n - n // 2, seed, k=k),
     "book": lambda n, seed, k: gen_book(n, seed, k=k),
     "points": lambda n, seed, k: gen_points(n, seed, k=k),
@@ -44,15 +44,15 @@ def spanning_tree(n: int, seed: int) -> frozenset:
 def cases() -> dict[str, tuple]:
     """Case id -> (object to render, tree or None)."""
     out = {}
-    for kind, build in BUILDERS.items():
+    for kind, build in GENERATED.items():
         for n in range(2, 14):
             seed, k, tree = n, 2 if n % 4 < 2 else 3, n % 2 == 1
-            obj = build(n, seed, k)
-            out[f"{kind}-n{n}-k{k}-seed{seed}{'-tree' if tree else ''}"] = (obj, spanning_tree(n, seed) if tree else None)
+            tag = f"{kind}-n{n}-k{k}-seed{seed}{'-tree' if tree else ''}"
+            out[tag] = (build(n, seed, k), spanning_tree(n, seed) if tree else None)
     for p, q in ANNULI:
         for seed in (0, 1):
-            obj = gen_cylindrical(p, q, seed)
-            out[f"cylindrical-{p}+{q}-seed{seed}{'-tree' if seed else ''}"] = (obj, spanning_tree(p + q, seed) if seed else None)
+            tag = f"cylindrical-{p}+{q}-seed{seed}{'-tree' if seed else ''}"
+            out[tag] = (gen_cylindrical(p, q, seed), spanning_tree(p + q, seed) if seed else None)
     return out
 
 

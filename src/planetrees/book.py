@@ -26,7 +26,6 @@ from .core import (
     EdgeColoring,
     SolveReport,
     STATUS_COUNTEREXAMPLE,
-    _edge_bits,
     all_edges,
     certify,
     edge,
@@ -119,7 +118,7 @@ def compile_book(layout: BookLayout) -> Drawing:
             + [w for w in reversed(left) if row[w] == PAGE_BOTTOM]
             + [w for w in reversed(right) if row[w] == PAGE_BOTTOM]
         ))
-    top = sum(bit for bit, pg in zip(_edge_bits(n), layout.pages) if pg == PAGE_TOP)
+    top = sum(1 << r for r, pg in enumerate(layout.pages) if pg == PAGE_TOP)
     masks = {PAGE_TOP: top, PAGE_BOTTOM: (1 << len(layout.pages)) - 1 ^ top}
     rows = [0] * len(layout.pages)
     interleaving_rows(n, rows, spine, [masks[pg] for pg in layout.pages])

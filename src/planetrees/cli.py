@@ -30,7 +30,7 @@ from .render import render_svg
 from .search import (
     JOBS_ENV,
     VerifyReport,
-    _check_desk_scale,
+    check_desk_scale,
     find_plane_tree,
     verify_all_colorings,
     verify_classes,
@@ -223,7 +223,7 @@ def _generated_drawing(args) -> Drawing:
     n = args.n
     if n is None:
         raise ValueError("verify --gen needs --n")
-    _check_desk_scale(n, args.long_run)
+    check_desk_scale(n, args.long_run)
     n_inner = n // 2 if args.n_inner is None else args.n_inner
     sizes = {"n": n, "n_inner": n_inner, "n_outer": n - n_inner}
     return formats.KINDS[args.gen][1](_generate(args.gen, sizes, args.seed))

@@ -10,11 +10,13 @@ Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
 crossings, ``Drawing.conflicts``: for each edge rank (the lexicographic
 order of ``edge_table``) the bitmask of the edges crossing it, written
 directly by the parser and the layout compilers; no parse, solve or
-verify path builds the crossing pairs.  An edge set is plane when no
-member's row meets the set's own mask.  The same module holds the one
-peel step (``peel_candidate``) and the one output check (``certify``)
-the solvers share; its ``is_plane`` tests tree edges pair by pair
-against the rows, never through ``mask_is_plane``, the searches' test.
+verify path builds the crossing pairs.  The bit of the edge of rank r
+is ``1 << r``, computed where it is used; no table holds them.  An edge
+set is plane when no member's row meets the set's own mask.  The same
+module holds the one peel step (``peel_candidate``) and the one output
+check (``certify``) the solvers share; its ``is_plane`` tests tree
+edges pair by pair against the rows, never through ``mask_is_plane``,
+the searches' test.
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ def edge_table(n: int) -> tuple[Edge, ...]:
 @functools.lru_cache(maxsize=64)
 def _edge_ranks(n: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(edge_table(n))}
-
-
-@functools.lru_cache(maxsize=64)
-def _edge_bits(n: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(n * (n - 1) // 2))
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -135,16 +132,16 @@ class Drawing:
     def conflicts(self) -> tuple[int, ...]:
         """Bitmask of the edges crossing each edge, in ``edge_index`` order;
         raises ValueError when a pair has an edge outside K_n."""
-        rank, bits = _edge_ranks(self.n), _edge_bits(self.n)
-        rows = [0] * len(bits)
+        rank = _edge_ranks(self.n)
+        rows = [0] * (self.n * (self.n - 1) // 2)
         for pair in self.crossings:
             try:
                 i, j = rank[pair[0]], rank[pair[1]]
             except KeyError:
                 u, v = next(e for e in pair if e not in rank)
                 raise ValueError(f"crossing edge {u}-{v} out of range for n={self.n}") from None
-            rows[i] |= bits[j]
-            rows[j] |= bits[i]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         return tuple(rows)
 
     @functools.cached_property
@@ -272,11 +269,11 @@ def is_plane(d: Drawing, s: EdgeSet) -> bool:
 
 def edge_mask(n: int, edges: Iterable[Edge]) -> int:
     """Bitmask of the edges of K_n in ``edges``; other edges are skipped."""
-    rank, bits = _edge_ranks(n), _edge_bits(n)
+    rank = _edge_ranks(n)
     mask = 0
     for e in edges:
         if e in rank:
-            mask |= bits[rank[e]]
+            mask |= 1 << rank[e]
     return mask
 
 
@@ -333,11 +330,13 @@ def is_spanning_tree(n: int, s: EdgeSet) -> bool:
 
 def spans(n: int, mask: int) -> bool:
     """True iff the edges of the bitmask connect all n vertices."""
-    adjacent = [0] * n
-    for bit, (u, v) in zip(_edge_bits(n), edge_table(n)):
-        if mask & bit:
-            adjacent[u] |= 1 << v
-            adjacent[v] |= 1 << u
+    table, adjacent = edge_table(n), [0] * n
+    while mask:
+        low = mask & -mask
+        u, v = table[low.bit_length() - 1]
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+        mask ^= low
     seen = frontier = 1
     while frontier:
         low = frontier & -frontier
@@ -368,7 +367,7 @@ def induced_subdrawing(
     rank, conflicts = _edge_ranks(d.n), d.conflicts
     # Old rank of every kept edge, in new rank order; rows keep the kept bits, renumbered.
     ranks = [rank[edge(order[i], order[j])] for i, j in edge_table(k)]
-    new_bit = {1 << r: bit for r, bit in zip(ranks, _edge_bits(k))}
+    new_bit = {1 << r: 1 << i for i, r in enumerate(ranks)}
     kept = sum(new_bit)
     rows = []
     for r in ranks:

@@ -61,7 +61,6 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     STATUS_TREE_FOUND,
-    _edge_bits,
     certify,
     edge,
     edge_index,
@@ -190,15 +189,14 @@ def side_rows(n: int, rows: list[int], sides: list[tuple[Edge, int, int]], turn:
     [s-T, s) or (s+T, s+2T] for u' > u: masks over the sorted ends.  A
     pair meeting more, or adjacent edges meeting, go to ``side_crossings``
     for its error."""
-    bits = _edge_bits(n)
     ranks = [edge_index(n, e) for e, _, _ in sides]
-    ends = sorted((s, bits[r]) for (_, _, s), r in zip(sides, ranks))
+    ends = sorted((s, 1 << r) for (_, _, s), r in zip(sides, ranks))
     keys, prefix, at = [s for s, _ in ends], [0], [0] * n
     for _, bit in ends:
         prefix.append(prefix[-1] | bit)
     for ((u, w), _, _), r in zip(sides, ranks):
-        at[u] |= bits[r]
-        at[w] |= bits[r]
+        at[u] |= 1 << r
+        at[w] |= 1 << r
     below = list(itertools.accumulate(at, operator.or_, initial=0))  # side edges of inner vertices < u
 
     def ending(lo: int, hi: int) -> int:  # the side edges whose end lies in [lo, hi)
@@ -645,27 +643,21 @@ def reduce_and_solve(
     alive_outer = layout.outer_ids()
     removed: list[tuple[int, dict[int, Edge]]] = []
     while True:
-        removable = None
-        for ids in (alive_inner, alive_outer):
-            if len(ids) < 3:
-                continue
-            for pos, v in enumerate(ids):
-                prev_e = edge(ids[pos - 1], v)
-                next_e = edge(v, ids[(pos + 1) % len(ids)])
-                c_prev = layout.color.color_of_edge(prev_e)
-                c_next = layout.color.color_of_edge(next_e)
-                if c_prev != c_next:
-                    cand = (v, {c_prev: prev_e, c_next: next_e})
-                    if removable is None or cand[0] < removable[0]:
-                        removable = cand
-        if removable is None:
-            break
-        v, byc = removable
-        removed.append((v, byc))
-        if v in alive_inner:
-            alive_inner.remove(v)
+        # The first bichromatic corner found is the smallest vertex: inner
+        # ids precede outer ids and both alive lists stay ascending.
+        cycles = [ids for ids in (alive_inner, alive_outer) if len(ids) >= 3]
+        for ids, pos in ((ids, pos) for ids in cycles for pos in range(len(ids))):
+            v = ids[pos]
+            prev_e = edge(ids[pos - 1], v)
+            next_e = edge(v, ids[(pos + 1) % len(ids)])
+            c_prev = layout.color.color_of_edge(prev_e)
+            c_next = layout.color.color_of_edge(next_e)
+            if c_prev != c_next:
+                removed.append((v, {c_prev: prev_e, c_next: next_e}))
+                ids.remove(v)
+                break
         else:
-            alive_outer.remove(v)
+            break
 
     if removed:
         sub_layout, mapping = restrict_layout(layout, alive_inner + alive_outer)

@@ -66,7 +66,7 @@ from itertools import islice
 from typing import Any, Iterator, Optional, Sequence, Union
 
 from .book import PAGE_BOTTOM, PAGE_TOP, BookLayout, compile_book
-from .core import Drawing, Edge, EdgeColoring, _edge_bits, edge, edge_index, edge_table, row_pairs
+from .core import Drawing, Edge, EdgeColoring, edge, edge_index, edge_table, row_pairs
 from .cylindrical import CylindricalLayout, compile_layout
 from .straightline import PointDrawing, compile_points
 
@@ -304,17 +304,16 @@ def serialize_drawing(
 
 def parse_drawing(text: str) -> tuple[Drawing, Optional[EdgeColoring], Optional[tuple[int, ...]]]:
     it, eof, (n,) = _open(text, "drawing", ["n"])
-    bits = _edge_bits(n)
-    rows = [0] * len(bits)
+    rows = [0] * (n * (n - 1) // 2)
     rotations = labels = x_order = coloring = section = ranks = None
     first: dict[str, int] = {}  # the header line of each section that may appear once
     for line_no, line in it:
         if section == "crossings":
             a, _, b = line.partition(" ")
             i, j = ranks.get(a), ranks.get(b)
-            if i is not None and j is not None and not rows[i] & bits[j]:
-                rows[i] |= bits[j]
-                rows[j] |= bits[i]
+            if i is not None and j is not None and not rows[i] >> j & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
                 continue
         head, *toks = line.split()
         if head in ("rotations:", "labels:", "xorder:", "colors:"):
@@ -549,7 +548,7 @@ def parse_classes(text: str) -> list[Drawing]:
             raise ParseError(line_no, "expected 'n;<crossing pairs>'")
         n = _parse_int(line_no, head.strip(), "vertex count")
         _check_vertex_count(line_no, n)
-        rows = [0] * len(_edge_bits(n))
+        rows = [0] * (n * (n - 1) // 2)
         rest = rest.strip()
         for chunk in rest.split(",") if rest else []:
             _add_crossing(rows, line_no, chunk, n, adjacent_ok=False)

@@ -264,7 +264,8 @@ def pool_size(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, chunks))
 
 
-def _check_desk_scale(n: int, long_run: bool) -> None:
+def check_desk_scale(n: int, long_run: bool) -> None:
+    """Refuse exhaustive verification of K_n above desk scale unless a long run is asked for."""
     if n > DESK_SCALE_LIMIT and not (long_run or long_run_enabled()):
         raise ValueError(
             f"refusing exhaustive verification for n={n} > {DESK_SCALE_LIMIT} "
@@ -342,7 +343,7 @@ def verify_all_colorings(
     are 5,370,725 weak isomorphism classes of drawings with more than
     10^8 colorings each, far beyond desk scale.
     """
-    _check_desk_scale(d.n, long_run)
+    check_desk_scale(d.n, long_run)
     total, block_bits = _coloring_blocks(d.n)
     workers = pool_size(jobs, total >> block_bits)
     with _worker_pool(workers) as pool:
@@ -386,7 +387,7 @@ def verify_classes(
     todo = [(rec_no, drawing) for rec_no, drawing in enumerate(records) if rec_no >= start_index]
     blocks = 1
     for _, drawing in todo:
-        _check_desk_scale(drawing.n, long_run)
+        check_desk_scale(drawing.n, long_run)
         total, block_bits = _coloring_blocks(drawing.n)
         blocks = max(blocks, total >> block_bits)
     workers = pool_size(jobs, blocks)

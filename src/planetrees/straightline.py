@@ -265,7 +265,7 @@ class _Solver:
             right, col_r = self.solve(frozenset(order[i + 1 :]))
             if (col_l is not None and col_l != red) or (col_r is not None and col_r != red):
                 continue
-            join = self._join_edge(order, i, red, subset)
+            join = self._join_edge(order, i, red, hull)
             if join is None:
                 continue
             return frozenset(left | right | {join}), red
@@ -274,7 +274,7 @@ class _Solver:
             f"no prefix/suffix combination found for subset {sorted(subset)}"
         )
 
-    def _join_edge(self, order: list[int], i: int, red: int, subset: frozenset[int]) -> Optional[Edge]:
+    def _join_edge(self, order: list[int], i: int, red: int, hull: list[int]) -> Optional[Edge]:
         # The direct edge between the consecutive x-neighbors cannot
         # cross either side's tree (disjoint x-ranges), so its color is
         # the only requirement; otherwise a hull edge bridges the gap.
@@ -282,7 +282,6 @@ class _Solver:
         direct = edge(a, b)
         if self.color.color_of_edge(direct) == red:
             return direct
-        hull = convex_hull(self.points, sorted(subset))
         upper, lower = _upper_lower_chains(self.points, hull)
         xa = self.points[a][0]
         for chain in (upper, lower):

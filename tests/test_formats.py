@@ -299,3 +299,19 @@ def test_header_at_the_vertex_limit_reads_on(header):
     with pytest.raises(ParseError) as info:
         load_instance(header + "\nnonsense\n")
     assert info.value.line_no == 2
+
+
+def test_headers_of_many_sizes_leave_no_per_size_table_behind():
+    import tracemalloc
+
+    from planetrees.formats import parse_classes
+
+    tracemalloc.start()
+    try:
+        for n in range(65, 129):
+            parse_drawing(f"drawing n={n}\n")
+            parse_classes(f"{n};\n")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20

@@ -27,12 +27,12 @@ from .core import (
     SolveReport,
     STATUS_COUNTEREXAMPLE,
     all_edges,
-    certify,
     edge,
     edge_index,
     edge_mask,
     induced_mask,
     peel_candidate,
+    reattach,
 )
 
 PAGE_TOP = "top"
@@ -168,18 +168,6 @@ def solve_book(layout: BookLayout) -> SolveReport:
             },
         )
 
-    tree = set(path_edges)
     tree_color = next(iter(path_colors)) if path_colors else None
-    for v, byc in reversed(removed):
-        if tree_color is None:
-            tree_color = min(byc)
-        attach = byc.get(tree_color)
-        if attach is None:
-            return SolveReport(
-                status=STATUS_COUNTEREXAMPLE,
-                checked_invariants=tuple(checked),
-                witness={"reason": "re-attachment impossible", "vertex": v},
-            )
-        tree.add(attach)
     witness = {"removed_vertices": [v for v, _ in removed]}
-    return certify(d, color, frozenset(tree), checked, witness=witness)
+    return reattach(d, color, path_edges, tree_color, removed, checked, witness=witness)

@@ -10,13 +10,15 @@ Edges are plain ``(u, v)`` tuples with ``u < v``; edge sets are
 crossings, ``Drawing.conflicts``: for each edge rank (the lexicographic
 order of ``edge_table``) the bitmask of the edges crossing it, written
 directly by the parser and the layout compilers; no parse, solve or
-verify path builds the crossing pairs.  The bit of the edge of rank r
-is ``1 << r``, computed where it is used; no table holds them.  An edge
-set is plane when no member's row meets the set's own mask.  The same
-module holds the one peel step (``peel_candidate``) and the one output
-check (``certify``) the solvers share; its ``is_plane`` tests tree
-edges pair by pair against the rows, never through ``mask_is_plane``,
-the searches' test.
+verify path builds the crossing pairs.  The checked constructor, which
+writes the rows from crossing pairs, refuses an edge outside K_n.  The
+bit of the edge of rank r is ``1 << r``, computed where it is used; no
+table holds them.  An edge set is plane when no member's row meets the
+set's own mask.  The same module holds the one peel step
+(``peel_candidate``) with its re-attachment (``reattach``) and the one
+output check (``certify``) the solvers share; its ``is_plane`` tests
+tree edges pair by pair against the rows, never through
+``mask_is_plane``, the searches' test.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ class Drawing:
 
     The one stored index is ``conflicts``, one crossing bitmask per edge
     rank, written by the checked constructor from crossing pairs or
-    taken by ``from_rows``.  ``crossings``, the set of canonical pairs,
-    is a view built on first use; equality and hashing compare it.  A
-    pair with an edge outside K_n has no row, so such a drawing keeps
-    its pairs and reading ``conflicts`` raises ValueError.  Rotations
+    taken by ``from_rows``.  The checked constructor refuses a pair with
+    an edge outside K_n (ValueError naming the edge), so every drawing
+    holds its rows.  ``crossings``, the set of canonical pairs, is a view
+    built on first use; equality and hashing compare it.  Rotations
     (counterclockwise neighbour orders) start at the smallest neighbour.
     """
 
@@ -110,14 +112,17 @@ class Drawing:
     vertex_labels: Optional[tuple[str, ...]] = None
 
     def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
-        pairs = frozenset(crossing_pair(edge(*e), edge(*f)) for e, f in crossings)
+        rank = _edge_ranks(n)
+        rows = [0] * (n * (n - 1) // 2)
+        for pair in [crossing_pair(edge(*e), edge(*f)) for e, f in crossings]:
+            if pair[0] not in rank or pair[1] not in rank:
+                u, v = next(e for e in pair if e not in rank)
+                raise ValueError(f"crossing edge {u}-{v} out of range for n={n}")
+            i, j = rank[pair[0]], rank[pair[1]]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         rotations = _canonical_rotations(rotations)
-        self.__dict__.update(n=n, crossings=pairs, rotations=rotations, vertex_labels=vertex_labels)
-        try:
-            self.conflicts
-        except ValueError:  # an edge outside K_n has no row: the pairs stay
-            return
-        del self.__dict__["crossings"]  # the rows are the one stored index
+        self.__dict__.update(n=n, conflicts=tuple(rows), rotations=rotations, vertex_labels=vertex_labels)
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int], rotations=None, vertex_labels=None) -> "Drawing":
@@ -129,29 +134,11 @@ class Drawing:
         return d
 
     @functools.cached_property
-    def conflicts(self) -> tuple[int, ...]:
-        """Bitmask of the edges crossing each edge, in ``edge_index`` order;
-        raises ValueError when a pair has an edge outside K_n."""
-        rank = _edge_ranks(self.n)
-        rows = [0] * (self.n * (self.n - 1) // 2)
-        for pair in self.crossings:
-            try:
-                i, j = rank[pair[0]], rank[pair[1]]
-            except KeyError:
-                u, v = next(e for e in pair if e not in rank)
-                raise ValueError(f"crossing edge {u}-{v} out of range for n={self.n}") from None
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
-
-    @functools.cached_property
     def crossings(self) -> frozenset[CrossingPair]:  # noqa: F811 - the view behind the field
         return frozenset(self.pairs())
 
     def pairs(self) -> Iterator[CrossingPair]:
         """The crossing pairs in sorted order, read off the rows."""
-        if "conflicts" not in self.__dict__:  # pairs kept: an edge lies outside K_n
-            return iter(sorted(self.crossings))
         table = edge_table(self.n)
         return ((table[r], table[s]) for r, s in row_pairs(self.conflicts))
 
@@ -241,9 +228,6 @@ def validate_drawing(d: Drawing) -> list[str]:
         violations.append(f"vertex count {d.n} < 1")
         return violations
     for e, f in d.pairs():
-        for u, v in (e, f):
-            if not (0 <= u < v < d.n):
-                violations.append(f"edge {u}-{v} out of range for n={d.n}")
         if set(e) & set(f):
             violations.append(f"adjacent edges cross: {e[0]}-{e[1]} and {f[0]}-{f[1]}")
         if e == f:
@@ -321,6 +305,25 @@ def peel_candidate(
         if len(best) == 2:
             return v, {c: edge(v, w) for c, (_, w) in best.items()}
     return None
+
+
+def reattach(
+    d: Drawing, coloring: EdgeColoring, tree: Iterable[Edge], color: Optional[int],
+    removed: Sequence[tuple[int, dict[int, Edge]]], checked: Sequence[tuple[str, bool]], **certify_args,
+) -> SolveReport:
+    """Add the removed (v, {color: edge}) back in reverse order, each by its
+    edge of the tree's ``color`` (a colourless tree takes the smallest colour
+    of the first vertex), and ``certify`` the tree with ``certify_args``; a
+    vertex without such an edge ends in a counterexample naming it."""
+    tree = set(tree)
+    for v, byc in reversed(removed):
+        if color is None:
+            color = min(byc)
+        if color not in byc:
+            witness = {"reason": "re-attachment impossible", "vertex": v}
+            return SolveReport(STATUS_COUNTEREXAMPLE, checked_invariants=tuple(checked), witness=witness)
+        tree.add(byc[color])
+    return certify(d, coloring, frozenset(tree), checked, **certify_args)
 
 
 def is_spanning_tree(n: int, s: EdgeSet) -> bool:

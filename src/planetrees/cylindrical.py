@@ -68,6 +68,7 @@ from .core import (
     extract_spanning_tree,
     induced_mask,
     mask_is_plane,
+    reattach,
     tree_colors,
 )
 from .book import PAGE_TOP, BookLayout, interleaving_rows, solve_book
@@ -707,18 +708,8 @@ def reduce_and_solve(
             checked_invariants=tuple(checked),
             witness={"reason": "reduced tree is not monochromatic", "colors": sorted(tcol)},
         )
-    tree_color = tcol.pop()
-    for v, byc in reversed(removed):
-        attach = byc.get(tree_color)
-        if attach is None:
-            return SolveReport(
-                status=STATUS_COUNTEREXAMPLE,
-                checked_invariants=tuple(checked),
-                witness={"reason": "re-attachment impossible", "vertex": v},
-            )
-        tree.add(attach)
     witness = {"branch": branch, "removed_vertices": removed_ids}
-    return certify(d, layout.color, frozenset(tree), checked, witness=witness, failure=witness)
+    return reattach(d, layout.color, tree, tcol.pop(), removed, checked, witness=witness, failure=witness)
 
 
 def side_edge_tree(layout: CylindricalLayout) -> EdgeSet:

@@ -47,7 +47,8 @@ Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
 Class files are one drawing per line, ``n;<crossing pairs comma-separated>``.
 A drawing, layout or class-record header may declare at most
 ``MAX_VERTICES`` = 128 vertices (an annulus counts both circles); a larger
-one is refused on its header line before anything is sized by it.
+one, or any negative size, is refused on its header line before anything
+is sized by it.
 Tree files (``render --tree``) hold ``u-v`` tokens, plain or after ``tree:``.
 
 ``load_instance(text)`` reads every other file: the header picks its
@@ -136,21 +137,28 @@ def _parse_header_fields(line_no: int, line: str, kind: str, fields: list[str]) 
     return values
 
 
-def _check_vertex_count(line_no: int, n: int) -> None:
-    if n > MAX_VERTICES:
+def _check_sizes(line_no: int, sizes: dict[str, int], bounded: bool = True) -> None:
+    """Refuse a negative size field and, when ``bounded``, a total above
+    ``MAX_VERTICES``; a size of 0 is left to ``validate_drawing``."""
+    for name, size in sizes.items():
+        if size < 0:
+            raise ParseError(line_no, f"{name}={size} is negative")
+    n = sum(sizes.values())
+    if bounded and n > MAX_VERTICES:
         raise ParseError(line_no, f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
 
 
 def _open(text: str, kind: str, fields: list[str]) -> tuple[Iterator[tuple[int, str]], int, list[int]]:
     """An iterator past a file's header, the line of its end, and the header's fields.
-    A drawing or layout header above ``MAX_VERTICES`` vertices is refused; a
-    colouring sizes nothing by its header until its lines are there."""
+    A negative size is refused, and so is a drawing or layout header above
+    ``MAX_VERTICES`` vertices; a colouring sizes nothing by its header until
+    its lines are there."""
     lines = _lines(text)
     it, eof = iter(lines), lines[-1][0] + 1 if lines else 1
     line_no, line = _take(it, eof)
     values = _parse_header_fields(line_no, line, kind, fields)
-    if kind != "coloring":
-        _check_vertex_count(line_no, sum(values))
+    sizes = {name: value for name, value in zip(fields, values) if name != "k"}
+    _check_sizes(line_no, sizes, bounded=kind != "coloring")
     return it, eof, values
 
 
@@ -547,7 +555,7 @@ def parse_classes(text: str) -> list[Drawing]:
         if not sep:
             raise ParseError(line_no, "expected 'n;<crossing pairs>'")
         n = _parse_int(line_no, head.strip(), "vertex count")
-        _check_vertex_count(line_no, n)
+        _check_sizes(line_no, {"n": n})
         rows = [0] * (n * (n - 1) // 2)
         rest = rest.strip()
         for chunk in rest.split(",") if rest else []:

@@ -109,8 +109,8 @@ def solve_monotone(
         raise ValueError("coloring size does not match drawing")
     if not 2 <= d <= MAX_GROUP_SPAN:
         raise ValueError(
-            f"group span d={d} unsupported: groups of d+1 > {MAX_GROUP_SPAN + 1} vertices "
-            f"have no verified small-instance guarantee"
+            f"group span d={d} unsupported: the span must lie in 2..{MAX_GROUP_SPAN} (groups of "
+            f"3..{MAX_GROUP_SPAN + 1} vertices; larger groups have no verified small-instance guarantee)"
         )
     groups = group_partition(n, d)
     k = len(groups) + 1

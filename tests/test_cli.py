@@ -81,6 +81,18 @@ def test_solve_monotone(capsys, tmp_path):
     assert kv(out)["status"] == "tree-found"
 
 
+@pytest.mark.parametrize("span", ["0", "1", "7"])
+def test_solve_monotone_group_span_outside_the_range_is_named(capsys, tmp_path, span):
+    path = tmp_path / "mono.pts"
+    path.write_text(serialize_points(gen_points(5, 0, k=5)))
+    code, out, err = run(capsys, "solve", "--class", "monotone", str(path), "--group-span", span)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: group span d={span} unsupported: the span must lie in 2..6 "
+        "(groups of 3..7 vertices; larger groups have no verified small-instance guarantee)\n"
+    )
+
+
 def test_solve_monotone_drawing_with_xorder(capsys, tmp_path):
     from planetrees.formats import serialize_drawing
     from planetrees.monotone import colors_needed

@@ -156,13 +156,17 @@ def test_writers_walk_the_rows_in_pair_order():
     assert serialize_class_file(drawings) == reference_serialize_class_file(drawings)
 
 
-def test_edge_outside_k_n_keeps_its_pairs():
-    d = Drawing(5, [((1, 0), (7, 3))])
-    assert d.crossings == {((0, 1), (3, 7))}
-    assert list(d.pairs()) == [((0, 1), (3, 7))]
-    with pytest.raises(ValueError, match="crossing edge 3-7 out of range for n=5"):
-        d.conflicts
-    assert d == Drawing(5, {((0, 1), (3, 7))}) and d != Drawing(5, ())
+def test_edge_outside_k_n_is_refused_at_construction():
+    # The edge outside K_5 second or first in its pair, given reversed, and after a valid pair.
+    for pairs in (
+        [((0, 1), (3, 7))],
+        [((3, 7), (0, 1))],
+        [((1, 0), (7, 3))],
+        [((7, 3), (1, 0))],
+        [((0, 2), (1, 3)), ((0, 1), (3, 7))],
+    ):
+        with pytest.raises(ValueError, match="^crossing edge 3-7 out of range for n=5$"):
+            Drawing(5, pairs)
 
 
 def test_parse_errors_are_unchanged():

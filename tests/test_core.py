@@ -10,6 +10,7 @@ from planetrees.core import (
     induced_subdrawing,
     is_plane,
     is_spanning_tree,
+    reattach,
     validate_drawing,
 )
 from planetrees.generators import gen_coloring, gen_points
@@ -53,9 +54,11 @@ def test_validate_bad_rotation():
     assert any("permutation" in v for v in validate_drawing(d))
 
 
-def test_validate_out_of_range_edge():
-    d = Drawing(3, frozenset({((0, 2), (1, 5))}))
-    assert any("out of range" in v for v in validate_drawing(d))
+def test_out_of_range_edge_is_refused_at_construction():
+    with pytest.raises(ValueError, match="^crossing edge 1-5 out of range for n=3$"):
+        Drawing(3, frozenset({((0, 2), (1, 5))}))
+    with pytest.raises(ValueError, match="^loop edge at vertex 1$"):
+        Drawing(3, frozenset({((0, 2), (1, 1))}))
 
 
 # ----------------------------------------------------------------------
@@ -217,3 +220,28 @@ def test_extract_spanning_tree_deterministic():
     assert is_spanning_tree(4, t1)
     with pytest.raises(ValueError):
         extract_spanning_tree(4, frozenset({(0, 1)}))
+
+
+# ----------------------------------------------------------------------
+# reattach
+# ----------------------------------------------------------------------
+
+
+def test_reattach_takes_the_smallest_colour_for_a_colourless_tree():
+    # K_3 without crossings; vertex 0 is the residual, 2 and then 1 were removed.
+    d = Drawing(3, ())
+    c = EdgeColoring(3, 2, (1, 0, 1))  # 0-1, 0-2, 1-2
+    removed = [(2, {0: (0, 2), 1: (1, 2)}), (1, {1: (0, 1)})]
+    rep = reattach(d, c, (), None, removed, [("peel", True)], witness={"removed_vertices": [2, 1]})
+    assert rep.ok and rep.tree == {(0, 1), (1, 2)}
+    assert rep.witness == {"removed_vertices": [2, 1], "tree_color": 1}
+    assert rep.checked_invariants[0] == ("peel", True)
+
+
+def test_reattach_without_an_edge_of_the_tree_colour_names_the_vertex():
+    d = Drawing(3, ())
+    c = EdgeColoring(3, 2, (1, 0, 1))
+    rep = reattach(d, c, [(0, 1)], 1, [(2, {0: (0, 2)})], [("peel", True)])
+    assert rep.status == "counterexample" and rep.tree is None
+    assert rep.witness == {"reason": "re-attachment impossible", "vertex": 2}
+    assert rep.checked_invariants == (("peel", True),)

@@ -239,13 +239,14 @@ def test_peel_candidate_on_random_crossing_sets():
         assert got == reference_book_peel(d, color, order, pos)
 
 
-def test_out_of_range_crossing_edge_raises_but_validate_only_reports():
-    d = Drawing(5, frozenset({((0, 1), (3, 7))}))
-    with pytest.raises(ValueError, match="crossing edge 3-7 out of range for n=5"):
-        d.conflicts
-    with pytest.raises(ValueError, match="3-7"):
-        induced_subdrawing(d, None, [0, 1, 3])
-    assert validate_drawing(d) == ["edge 3-7 out of range for n=5"]
+def test_every_drawing_holds_its_rows_and_an_edge_outside_k_n_is_refused():
+    with pytest.raises(ValueError, match="^crossing edge 3-7 out of range for n=5$"):
+        Drawing(5, frozenset({((0, 1), (3, 7))}))
+    assert "conflicts" not in vars(Drawing)  # a plain attribute, not a view built on first read
+    pairs = {((0, 2), (1, 3)), ((0, 3), (1, 4))}
+    for d in (Drawing(5, pairs), Drawing.from_rows(5, Drawing(5, pairs).conflicts)):
+        assert vars(d)["conflicts"] == Drawing(5, pairs).conflicts
+        assert set(d.pairs()) == pairs and validate_drawing(d) == []
 
 
 def test_equality_and_hash_do_not_depend_on_the_index():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from planetrees.book import compile_book
-from planetrees.core import Drawing
+from planetrees.core import Drawing, validate_drawing
 from planetrees.cylindrical import compile_layout
 from planetrees.formats import (
     ParseError,
@@ -286,6 +286,48 @@ def test_header_above_the_vertex_limit_is_refused_before_anything_is_sized(text)
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [("drawing n=-2000\n", 1), ("-2000;\n", 1), ("4;\n-2000;0-2 1-3\n", 2)],
+)
+def test_negative_header_is_refused_before_anything_is_sized(text, line):
+    import tracemalloc
+
+    from planetrees.formats import parse_classes
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^line {line}: n=-2000 is negative$"):
+            (parse_classes if ";" in text else parse_drawing)(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "header,field",
+    [
+        ("drawing n=-1", "n=-1"),
+        ("book n=-3", "n=-3"),
+        ("points n=-3", "n=-3"),
+        ("coloring n=-3 k=2", "n=-3"),
+        ("cylindrical n_inner=-3 n_outer=5", "n_inner=-3"),
+        ("cylindrical n_inner=200 n_outer=-100", "n_outer=-100"),
+    ],
+)
+def test_each_size_field_is_checked_on_its_own(header, field):
+    from planetrees.formats import load_instance
+
+    with pytest.raises(ParseError, match=f"^line 1: {field} is negative$"):
+        load_instance(header + "\n")
+
+
+def test_zero_vertices_is_left_to_validate():
+    d, _, _ = parse_drawing("drawing n=0\n")
+    assert validate_drawing(d) == ["vertex count 0 < 1"]
 
 
 @pytest.mark.parametrize(

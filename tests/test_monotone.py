@@ -127,6 +127,15 @@ def test_rejects_unverified_group_span():
         solve_monotone(dr, coloring, d=7)
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1, 7])
+def test_group_span_refusal_names_the_allowed_range(d):
+    pts = parabola_points(8)
+    coloring = gen_coloring(8, 8, 1)
+    dr = MonotoneDrawing.from_points(PointDrawing(pts, coloring))
+    with pytest.raises(ValueError, match=rf"^group span d={d} unsupported: the span must lie in 2\.\.6 "):
+        solve_monotone(dr, coloring, d=d)
+
+
 def test_smaller_group_span_works():
     pts = parabola_points(9)
     coloring = gen_coloring(9, 4, 2)  # d=3 needs ceil(8/3)+1 = 4 colors

@@ -114,13 +114,12 @@ class Drawing:
     def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
         rank = _edge_ranks(n)
         rows = [0] * (n * (n - 1) // 2)
-        for pair in [crossing_pair(edge(*e), edge(*f)) for e, f in crossings]:
-            if pair[0] not in rank or pair[1] not in rank:
-                u, v = next(e for e in pair if e not in rank)
+        for e, f in [crossing_pair(edge(*e), edge(*f)) for e, f in crossings]:
+            if e not in rank or f not in rank:
+                u, v = e if e not in rank else f
                 raise ValueError(f"crossing edge {u}-{v} out of range for n={n}")
-            i, j = rank[pair[0]], rank[pair[1]]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            rows[rank[e]] |= 1 << rank[f]
+            rows[rank[f]] |= 1 << rank[e]
         rotations = _canonical_rotations(rotations)
         self.__dict__.update(n=n, conflicts=tuple(rows), rotations=rotations, vertex_labels=vertex_labels)
 

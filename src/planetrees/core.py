@@ -93,6 +93,14 @@ def _canonical_rotations(rotations) -> Optional[tuple[tuple[int, ...], ...]]:
     return tuple(seq[seq.index(min(seq)):] + seq[: seq.index(min(seq))] if seq else seq for seq in seqs)
 
 
+def _edge_count(n: int) -> int:
+    """C(n, 2), refusing a negative n as the parsers do (n = 0 is left to
+    ``validate_drawing``)."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
+    return n * (n - 1) // 2
+
+
 @dataclass(frozen=True, init=False)
 class Drawing:
     """Simple drawing of K_n: its crossings, rotations and vertex labels.
@@ -100,10 +108,11 @@ class Drawing:
     The one stored index is ``conflicts``, one crossing bitmask per edge
     rank, written by the checked constructor from crossing pairs or
     taken by ``from_rows``.  The checked constructor refuses a pair with
-    an edge outside K_n (ValueError naming the edge), so every drawing
-    holds its rows.  ``crossings``, the set of canonical pairs, is a view
-    built on first use; equality and hashing compare it.  Rotations
-    (counterclockwise neighbour orders) start at the smallest neighbour.
+    an edge outside K_n (ValueError naming the edge), and both refuse a
+    negative n, so every drawing holds its rows.  ``crossings``, the set
+    of canonical pairs, is a view built on first use; equality and
+    hashing compare it.  Rotations (counterclockwise neighbour orders)
+    start at the smallest neighbour.
     """
 
     n: int
@@ -112,8 +121,8 @@ class Drawing:
     vertex_labels: Optional[tuple[str, ...]] = None
 
     def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
+        rows = [0] * _edge_count(n)
         rank = _edge_ranks(n)
-        rows = [0] * (n * (n - 1) // 2)
         for e, f in [crossing_pair(edge(*e), edge(*f)) for e, f in crossings]:
             if e not in rank or f not in rank:
                 u, v = e if e not in rank else f
@@ -126,7 +135,10 @@ class Drawing:
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int], rotations=None, vertex_labels=None) -> "Drawing":
         """A drawing from its conflict rows, ``rows[r]`` the crossing
-        bitmask of edge rank r; the rows must be symmetric."""
+        bitmask of edge rank r; the rows must be symmetric, and there must
+        be one per edge of K_n."""
+        if len(rows) != _edge_count(n):
+            raise ValueError(f"expected {_edge_count(n)} conflict rows for n={n}, got {len(rows)}")
         d = cls.__new__(cls)
         rotations = _canonical_rotations(rotations)
         d.__dict__.update(n=n, conflicts=tuple(rows), rotations=rotations, vertex_labels=vertex_labels)

@@ -10,14 +10,11 @@ ordered pair, the bitmask of the points left of it) and reads the
 drawing off it: each edge's conflict row as one masked, shifted bitmask
 per third point, and each vertex's rotation from popcounts.
 
-The solver works by induction on the vertex set.  If some vertex has
-uncrossed edges of both colors it is peeled off and re-attached later.
-Otherwise the convex hull cycle is monochromatic, say red; if an
-interior point exists, monochromatic spanning trees of the x-order
-prefixes and suffixes are combined: either a prefix tree and suffix
-tree of equal color share a vertex, or a red prefix/suffix pair is
-joined by the edge between consecutive x-neighbors or by the hull edge
-bridging them.
+The solver (Károlyi, Pach and Tóth) works by induction on the vertex
+set: it peels a vertex, or combines trees of the x-order prefixes and
+suffixes that share a vertex or are joined by the one hull edge whose
+x-range spans the split (``_spanning_hull_edge``).  The proof that one
+of them always succeeds is in ``_Solver._solve_uncached``.
 """
 
 from __future__ import annotations
@@ -170,16 +167,14 @@ def convex_hull(points: Sequence[Point], subset: Sequence[int]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _upper_lower_chains(points: Sequence[Point], hull: list[int]) -> tuple[list[int], list[int]]:
-    """Split a ccw hull cycle into x-increasing lower and upper chains."""
-    left = min(hull, key=lambda v: points[v][0])
-    right = max(hull, key=lambda v: points[v][0])
-    i = hull.index(left)
-    cyc = hull[i:] + hull[:i]
-    j = cyc.index(right)
-    lower = cyc[: j + 1]
-    upper = [left] + list(reversed(cyc[j + 1 :])) + [right]
-    return upper, lower
+def _spanning_hull_edge(points: Sequence[Point], hull_edges: Sequence[Edge], x: Coord) -> Edge:
+    """The first hull edge, in hull order, with left end x <= x < right
+    end x: one on the lower chain, for x from the leftmost point's up to
+    but not including the rightmost point's."""
+    for u, w in hull_edges:
+        if min(points[u][0], points[w][0]) <= x < max(points[u][0], points[w][0]):
+            return (u, w)
+    raise ProofContradiction(f"no hull edge spans x={x}")
 
 
 class _Solver:
@@ -204,96 +199,78 @@ class _Solver:
         return result
 
     def _solve_uncached(self, subset: frozenset[int]) -> tuple[EdgeSet, Optional[int]]:
+        """A plane spanning tree of one color on ``subset``, and the color.
+
+        Two points give their edge.  A vertex with uncrossed edges of
+        both colors is peeled; its uncrossed edge of the color of the
+        rest's tree re-attaches it as a leaf.  Otherwise no segment between points of
+        the subset crosses a hull edge, so both hull edges at a hull
+        vertex have one color: the hull is monochromatic, say red.  In
+        convex position the hull path is the tree.  Else, with o_0..o_{m-1}
+        the x-order and each part's color that of its own tree (every
+        part of 2 or more points has one):
+
+        1. Each union is a plane spanning tree of one color.  The prefix
+           o_0..o_i and the suffix o_i..o_{m-1} lie in the x-slabs left
+           and right of o_i, which meet only at o_i: trees on them share
+           o_i and cross nowhere.  A red prefix o_0..o_i and a red suffix
+           o_{i+1}..o_{m-1} lie in disjoint slabs.  The hull edge whose
+           x-range spans x(o_i) has one end in each; it is red, and no
+           segment between points of the subset crosses it.
+        2. Some split succeeds.  Suppose the disjoint loop fails at every
+           i, a single vertex counting as red.  Then the suffix at i=0 and
+           the prefix at i=m-2 are not red.  Let i >= 1 be the least index
+           whose prefix o_0..o_i is not red.  The prefix o_0..o_{i-1} is
+           red and the disjoint loop failed at i-1, so the suffix
+           o_i..o_{m-1} is not red either.  Both have 2 or more points
+           (i <= m-2), so both are blue: the shared-vertex loop returned.
+
+        So the final ``ProofContradiction`` is reached only if this
+        argument is wrong; ``certify`` still checks the answer.
+        """
         m = len(subset)
         if m == 1:
             return frozenset(), None
         if m == 2:
-            a, b = sorted(subset)
-            e = edge(a, b)
+            e = edge(*subset)
             return frozenset({e}), self.color.color_of_edge(e)
 
-        # Peel a vertex with uncrossed edges of both colors.
         x = self.points
         peeled = peel_candidate(self.d, self.color, sorted(subset), lambda v, w: abs(x[w][0] - x[v][0]))
         if peeled is not None:
             v, byc = peeled
             tree, col = self.solve(subset - {v})
-            if col is None:
-                col = min(byc)
             attach = byc.get(col)
             if attach is None:
                 raise ProofContradiction(f"no uncrossed edge of color {col} at vertex {v}")
             return frozenset(tree | {attach}), col
 
-        # No such vertex: the hull cycle must be monochromatic.
         hull = convex_hull(self.points, sorted(subset))
         hull_edges = [edge(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-        if len(hull) == 2:
-            hull_edges = hull_edges[:1]
         alive = induced_mask(self.d.n, subset)
         for e in hull_edges:
             if self.d.conflicts[edge_index(self.d.n, e)] & alive:
                 raise ProofContradiction(f"hull edge {e} is crossed within the subset")
         hull_colors = {self.color.color_of_edge(e) for e in hull_edges}
         if len(hull_colors) != 1:
-            raise ProofContradiction(
-                f"hull cycle of subset {sorted(subset)} is bichromatic "
-                f"although no vertex has uncrossed edges of both colors"
-            )
-        red = next(iter(hull_colors))
+            raise ProofContradiction(f"hull cycle of subset {sorted(subset)} is bichromatic "
+                                     f"although no vertex has uncrossed edges of both colors")
+        (red,) = hull_colors
+        if len(hull) == m:  # the hull path from the smallest vertex
+            return frozenset(hull_edges) - {hull_edges[hull.index(min(hull)) - 1]}, red
 
-        if len(hull) == m:
-            # All points on the hull: the boundary path is the tree.
-            start = hull.index(min(hull))
-            cyc = hull[start:] + hull[:start]
-            tree = frozenset(edge(cyc[i], cyc[i + 1]) for i in range(m - 1))
-            return tree, red
-
-        order = sorted(subset, key=lambda v: self.points[v][0])
-
-        # Shared-vertex combination: prefix and suffix trees of equal color.
+        order = sorted(subset, key=lambda v: x[v][0])
         for i in range(1, m - 1):
             left, col_l = self.solve(frozenset(order[: i + 1]))
             right, col_r = self.solve(frozenset(order[i:]))
-            if col_l is not None and col_l == col_r:
+            if col_l == col_r:
                 return frozenset(left | right), col_l
-
-        # Disjoint combination: hull-colored prefix and suffix joined by
-        # the consecutive edge or the hull edge bridging it.
-        for i in range(0, m - 1):
+        for i in range(m - 1):
             left, col_l = self.solve(frozenset(order[: i + 1]))
             right, col_r = self.solve(frozenset(order[i + 1 :]))
-            if (col_l is not None and col_l != red) or (col_r is not None and col_r != red):
-                continue
-            join = self._join_edge(order, i, red, hull)
-            if join is None:
-                continue
-            return frozenset(left | right | {join}), red
-
-        raise ProofContradiction(
-            f"no prefix/suffix combination found for subset {sorted(subset)}"
-        )
-
-    def _join_edge(self, order: list[int], i: int, red: int, hull: list[int]) -> Optional[Edge]:
-        # The direct edge between the consecutive x-neighbors cannot
-        # cross either side's tree (disjoint x-ranges), so its color is
-        # the only requirement; otherwise a hull edge bridges the gap.
-        a, b = order[i], order[i + 1]
-        direct = edge(a, b)
-        if self.color.color_of_edge(direct) == red:
-            return direct
-        upper, lower = _upper_lower_chains(self.points, hull)
-        xa = self.points[a][0]
-        for chain in (upper, lower):
-            for j in range(len(chain) - 1):
-                u, w = chain[j], chain[j + 1]
-                if self.points[u][0] > self.points[w][0]:
-                    u, w = w, u
-                if self.points[u][0] <= xa < self.points[w][0]:
-                    e = edge(u, w)
-                    if self.color.color_of_edge(e) == red:
-                        return e
-        return None
+            if {col_l, col_r} <= {red, None}:
+                return frozenset(left | right | {_spanning_hull_edge(x, hull_edges, x[order[i]][0])}), red
+        raise ProofContradiction(f"no prefix/suffix combination found for subset {sorted(subset)}")
 
 
 def solve_points(p: PointDrawing) -> SolveReport:
@@ -306,8 +283,5 @@ def solve_points(p: PointDrawing) -> SolveReport:
     try:
         tree, _ = solver.solve(frozenset(range(p.n)))
     except ProofContradiction as exc:
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            witness={"reason": str(exc), "n": p.n},
-        )
+        return SolveReport(status=STATUS_COUNTEREXAMPLE, witness={"reason": str(exc), "n": p.n})
     return certify(d, color, tree)

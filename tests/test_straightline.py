@@ -1,12 +1,24 @@
 import math
+import random
 
 import pytest
 
-from planetrees.core import edge, is_plane, is_spanning_tree, tree_colors, validate_drawing
+from planetrees.core import (
+    EdgeColoring,
+    edge,
+    is_plane,
+    is_spanning_tree,
+    peel_candidate,
+    tree_colors,
+    validate_drawing,
+)
 from planetrees.generators import gen_coloring, gen_points
 from planetrees.search import find_plane_tree
 from planetrees.straightline import (
     PointDrawing,
+    ProofContradiction,
+    _Solver,
+    _spanning_hull_edge,
     compile_points,
     convex_hull,
     orient,
@@ -158,3 +170,58 @@ def test_hull_edges_uncrossed():
         for e, f in d.crossings:
             assert e not in hull_edges
             assert f not in hull_edges
+
+
+# ----------------------------------------------------------------------
+# the hull-edge join of a disjoint prefix and suffix
+# ----------------------------------------------------------------------
+
+def test_spanning_hull_edge_is_the_first_in_hull_order():
+    hull = convex_hull(CONVEX5, range(5))
+    assert hull == [0, 1, 2, 3, 4]
+    hull_edges = [edge(hull[i], hull[(i + 1) % 5]) for i in range(5)]
+    # x=5 is spanned by (1, 2) on the lower chain and (2, 3) on the upper.
+    picks = {x: _spanning_hull_edge(CONVEX5, hull_edges, x) for x in range(6)}
+    assert picks == {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (1, 2), 4: (1, 2), 5: (1, 2)}
+    with pytest.raises(ProofContradiction, match="no hull edge spans x=6"):
+        _spanning_hull_edge(CONVEX5, hull_edges, 6)
+
+
+def hull_coloured_splits(p):
+    """(subset, joined tree, hull colour) for every disjoint split of every
+    hull-branch subset a solve visits, when both sides come back in the
+    hull colour: the prefix tree, the suffix tree and the hull edge."""
+    d = compile_points(p)
+    solver = _Solver(p.points, d, p.color)
+    solver.solve(frozenset(range(p.n)))
+    for subset in list(solver.memo):
+        hull = convex_hull(p.points, sorted(subset))
+        if len(hull) == len(subset) or peel_candidate(d, p.color, sorted(subset), lambda v, w: 0):
+            continue
+        hull_edges = [edge(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+        (red,) = {p.color.color_of_edge(e) for e in hull_edges}
+        order = sorted(subset, key=lambda v: p.points[v][0])
+        for i in range(len(order) - 1):
+            left, col_l = solver.solve(frozenset(order[: i + 1]))
+            right, col_r = solver.solve(frozenset(order[i + 1 :]))
+            if {col_l, col_r} <= {red, None}:
+                join = _spanning_hull_edge(p.points, hull_edges, p.points[order[i]][0])
+                yield subset, left | right | {join}, red
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_every_hull_coloured_split_joins_into_a_plane_spanning_tree(n):
+    checked = 0
+    for seed in range(150):
+        share = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)[seed % 6]
+        rng = random.Random(f"join:{n}:{seed}")
+        coloring = EdgeColoring(n, 2, tuple(int(rng.random() < share) for _ in range(n * (n - 1) // 2)))
+        p = PointDrawing(gen_points(n, seed).points, coloring)
+        d = compile_points(p)
+        for subset, tree, red in hull_coloured_splits(p):
+            rank = {v: r for r, v in enumerate(sorted(subset))}
+            assert is_plane(d, tree), (seed, sorted(subset))
+            assert is_spanning_tree(len(subset), frozenset(edge(rank[u], rank[v]) for u, v in tree))
+            assert tree_colors(coloring, tree) == {red}
+            checked += 1
+    assert checked >= 5 * (n - 3) ** 2

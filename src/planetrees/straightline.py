@@ -203,12 +203,12 @@ class _Solver:
 
         Two points give their edge.  A vertex with uncrossed edges of
         both colors is peeled; its uncrossed edge of the color of the
-        rest's tree re-attaches it as a leaf.  Otherwise no segment between points of
-        the subset crosses a hull edge, so both hull edges at a hull
-        vertex have one color: the hull is monochromatic, say red.  In
-        convex position the hull path is the tree.  Else, with o_0..o_{m-1}
-        the x-order and each part's color that of its own tree (every
-        part of 2 or more points has one):
+        rest's tree re-attaches it as a leaf.  Otherwise no segment
+        between points of the subset crosses a hull edge, so both hull
+        edges at a hull vertex have one color: the hull is monochromatic,
+        say red.  In convex position the hull path is the tree.  Else,
+        with o_0..o_{m-1} the x-order and each part's color that of its
+        own tree (every part of 2 or more points has one):
 
         1. Each union is a plane spanning tree of one color.  The prefix
            o_0..o_i and the suffix o_i..o_{m-1} lie in the x-slabs left
@@ -260,12 +260,12 @@ class _Solver:
             return frozenset(hull_edges) - {hull_edges[hull.index(min(hull)) - 1]}, red
 
         order = sorted(subset, key=lambda v: x[v][0])
-        for i in range(1, m - 1):
+        for i in range(1, m - 1):  # the shared-vertex loop
             left, col_l = self.solve(frozenset(order[: i + 1]))
             right, col_r = self.solve(frozenset(order[i:]))
             if col_l == col_r:
                 return frozenset(left | right), col_l
-        for i in range(m - 1):
+        for i in range(m - 1):  # the disjoint loop
             left, col_l = self.solve(frozenset(order[: i + 1]))
             right, col_r = self.solve(frozenset(order[i + 1 :]))
             if {col_l, col_r} <= {red, None}:

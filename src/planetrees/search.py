@@ -16,22 +16,28 @@ a tree is plane when none of its edges' rows in the drawing's conflict
 index (``Drawing.conflicts``, one crossing bitmask per edge rank,
 built once per drawing) meets the tree's own mask.  The verifier is
 bit-sliced (Biham, FSE 1997): coloring index bit i-1 is the color of
-edge i, so across a block of 2^B consecutive indices edges 1..B vary
-and each has a periodic bit-plane, one 2^B-bit integer holding its
-color in every coloring of the block.  A plane tree whose fixed edges
-allow a monochromatic color covers the AND of its varying edges'
-planes (color 1) or of their complements (color 0); the failures are
-the bits no tree covers.  One pass over the plane trees thus tests a
-whole block, at most 2^16 colorings, at once.
+edge i, so across a block of 2^B consecutive indices edges 1..B vary,
+and a block is one 2^B-bit integer whose bit j is the coloring that
+gives color 1 to the varying edges in j.  A plane tree with varying
+edges v, whose fixed edges allow a monochromatic color, is color 1 at
+every j that contains v and color 0 at every j inside ~v.  So each
+such tree sets one seed bit, and B shift-and-OR steps over the
+periodic bit-planes close the seeds upward and downward (the zeta
+transform over subsets, on one integer); the failures are the bits
+left clear.  A block of at most 2^16 colorings thus costs 2B such
+steps and one OR per pattern of fixed edges, not one per plane tree.
 """
 
 from __future__ import annotations
 
 import array
+import bisect
+import collections
 import contextlib
 import functools
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -57,6 +63,7 @@ DESK_SCALE_LIMIT = 6
 LONG_RUN_ENV = "PLANETREES_LONG_RUN"
 JOBS_ENV = "PLANETREES_JOBS"
 BLOCK_BITS = 16  # colorings per block: 2^16, one 8 KB integer per bit-plane
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _decode_tree(n: int, seq: tuple[int, ...]) -> frozenset[Edge]:
@@ -169,13 +176,49 @@ def find_plane_tree(
     return SolveReport(STATUS_COUNTEREXAMPLE, witness={"reason": reason, "mode": mode, "color": color, "n": n})
 
 
+class _Failures(Sequence):
+    """Failing colorings kept as indices, read as the tuple of their reports.
+
+    ``parts`` holds (record, n, failing indices) per drawing.  Element k
+    is a coloring dict, or (record, dict) when the record is not None;
+    each dict is built only when it is read.
+    """
+
+    def __init__(self, parts: list[tuple[Optional[int], int, array.array]]):
+        self._parts = [part for part in parts if part[2]]
+        self._starts = list(itertools.accumulate((len(part[2]) for part in self._parts), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(len(self))[k])
+        k = range(len(self))[k]
+        j = bisect.bisect_right(self._starts, k) - 1
+        record, n, failing = self._parts[j]
+        idx = failing[k - self._starts[j]]
+        # Edge i has bit i of twice the index: color 0 for edge 0, index bit i-1 after it.
+        fail = {"coloring_index": idx, "coloring": {e: idx << 1 >> i & 1 for i, e in enumerate(edge_table(n))}}
+        return fail if record is None else (record, fail)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _Failures)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Aggregate outcome of an exhaustive 2-coloring verification."""
 
     n: int
     colorings_checked: int
-    failures: tuple[dict, ...] = ()
+    failures: Sequence[dict] = ()
     plane_tree_count: int = 0
 
     @property
@@ -214,43 +257,41 @@ def _verify_range(plane_masks: list[int], start: int, stop: int, block_bits: int
     Coloring index bit i-1 is the color of edge i; edge 0, the edge
     (0,1), has color 0 (global color swap symmetry).  Indices are taken
     in blocks of 2^block_bits: inside a block edges 1..block_bits vary
-    and the higher edges have the colors of the block number's bits.  A
-    tree is monochromatic in a color on the AND of its varying edges'
-    planes for that color, provided its fixed edges have that color.
+    and the higher edges have the colors of the block number's bits.
+    A tree with varying edges v seeds bit v of ``up`` if its fixed
+    edges have color 1 and it avoids edge 0, and bit ~v of ``down`` if
+    its fixed edges have color 0; ``up`` is closed upward and ``down``
+    downward, one shift-and-OR per varying edge.
     """
-    planes = _bit_planes(block_bits)
+    zeros, ones = _bit_planes(block_bits)
     size = 1 << block_bits
-    full = (1 << size) - 1
+    # The seeds of the trees with each pattern of fixed edges, set once per call.
+    seeds = collections.defaultdict(lambda: (bytearray(size + 7 >> 3), bytearray(size + 7 >> 3)))
+    for t in plane_masks:
+        up, down = seeds[t >> (block_bits + 1)]
+        v = t >> 1 & (size - 1)
+        if not t & 1:
+            up[v >> 3] |= 1 << (v & 7)
+        v ^= size - 1
+        down[v >> 3] |= 1 << (v & 7)
+    patterns = [(fixed, int.from_bytes(up, "little"), int.from_bytes(down, "little"))
+                for fixed, (up, down) in seeds.items()]
     failures: list[int] = []
     for block in range(start >> block_bits, (stop + size - 1) >> block_bits):
         base = block << block_bits
         lo, hi = max(start - base, 0), min(stop - base, size)
-        # Indices outside [start, stop) count as covered from the outset.
-        covered = full ^ ((1 << hi) - (1 << lo))
-        terms = set()
-        for t in plane_masks:
-            fixed = t >> (block_bits + 1)
-            varying = t >> 1 & (size - 1)
+        up = down = 0
+        for fixed, up_seed, down_seed in patterns:
+            if not fixed & ~block:
+                up |= up_seed
             if not fixed & block:
-                terms.add((varying, 0))
-            if not t & 1 and not fixed & ~block:
-                terms.add((varying, 1))
-        # Trees with the fewest varying edges cover the most colorings.
-        for varying, color in sorted(terms, key=lambda term: term[0].bit_count()):
-            if covered == full:
-                break
-            color_planes = planes[color]
-            acc = full
-            while varying:
-                low = varying & -varying
-                acc &= color_planes[low.bit_length()]
-                varying ^= low
-            covered |= acc
-        bits = format(full ^ covered, "b")[::-1]
-        i = bits.find("1")
-        while i >= 0:
-            failures.append(base + i)
-            i = bits.find("1", i + 1)
+                down |= down_seed
+        for i in range(block_bits):
+            up |= (up & zeros[i + 1]) << (1 << i)
+            down |= (down & ones[i + 1]) >> (1 << i)
+        # Indices outside [start, stop) count as covered; one byte per index, 1 if it fails.
+        flags = format(((1 << hi) - (1 << lo)) & ~(up | down), "b")[::-1].encode().translate(_BIT_BYTES)
+        failures.extend(itertools.compress(range(base, base + size), flags))
     return stop - start, failures
 
 
@@ -295,33 +336,23 @@ def _worker_pool(workers: int):
         yield pool
 
 
-def _verify(d: Drawing, pool, workers: int) -> VerifyReport:
+def _verify(d: Drawing, pool, workers: int) -> tuple[int, array.array, int]:
+    """Colorings checked, failing indices in ascending order, and plane trees."""
     total, block_bits = _coloring_blocks(d.n)
     plane_masks = _plane_tree_mask_list(d)
     blocks = total >> block_bits
     shards = min(workers, blocks)
     if shards <= 1:
-        checked, failing = _verify_range(plane_masks, 0, total, block_bits)
+        parts = [_verify_range(plane_masks, 0, total, block_bits)]
     else:
         # Whole blocks per shard, in ascending order, so failures stay sorted.
         bounds = [(blocks * i // shards) << block_bits for i in range(shards + 1)]
-        parts = list(
-            pool.map(_verify_range, [plane_masks] * shards, bounds[:-1], bounds[1:], [block_bits] * shards)
-        )
-        checked = sum(part_checked for part_checked, _ in parts)
-        failing = [idx for _, part_failing in parts for idx in part_failing]
-    # Edge i has bit i of twice the index: color 0 for edge 0, index bit i-1 after it.
-    table = edge_table(d.n)
-    failures = tuple(
-        {"coloring_index": idx, "coloring": {e: idx << 1 >> i & 1 for i, e in enumerate(table)}}
-        for idx in failing
-    )
-    return VerifyReport(
-        n=d.n,
-        colorings_checked=checked,
-        failures=failures,
-        plane_tree_count=len(plane_masks),
-    )
+        parts = pool.map(_verify_range, [plane_masks] * shards, bounds[:-1], bounds[1:], [block_bits] * shards)
+    checked, failing = 0, array.array("Q")
+    for part_checked, part_failing in parts:
+        checked += part_checked
+        failing.extend(part_failing)
+    return checked, failing, len(plane_masks)
 
 
 def verify_all_colorings(
@@ -347,7 +378,10 @@ def verify_all_colorings(
     total, block_bits = _coloring_blocks(d.n)
     workers = pool_size(jobs, total >> block_bits)
     with _worker_pool(workers) as pool:
-        return _verify(d, pool, workers)
+        checked, failing, trees = _verify(d, pool, workers)
+    return VerifyReport(
+        n=d.n, colorings_checked=checked, failures=_Failures([(None, d.n, failing)]), plane_tree_count=trees
+    )
 
 
 @dataclass(frozen=True)
@@ -356,7 +390,7 @@ class ClassFileReport:
 
     records_verified: int
     colorings_checked: int
-    failures: tuple[tuple[int, dict], ...] = ()
+    failures: Sequence[tuple[int, dict]] = ()
     first_record: int = 0
 
     @property
@@ -392,16 +426,15 @@ def verify_classes(
         blocks = max(blocks, total >> block_bits)
     workers = pool_size(jobs, blocks)
     colorings = 0
-    failures: list[tuple[int, dict]] = []
+    parts = []
     with _worker_pool(workers) as pool:
         for rec_no, drawing in todo:
-            report = _verify(drawing, pool, workers)
-            colorings += report.colorings_checked
-            for fail in report.failures:
-                failures.append((rec_no, fail))
+            checked, failing, _ = _verify(drawing, pool, workers)
+            colorings += checked
+            parts.append((rec_no, drawing.n, failing))
     return ClassFileReport(
         records_verified=len(todo),
         colorings_checked=colorings,
-        failures=tuple(failures),
+        failures=_Failures(parts),
         first_record=start_index,
     )

@@ -274,8 +274,10 @@ def _verify_range(plane_masks: list[int], start: int, stop: int, block_bits: int
             up[v >> 3] |= 1 << (v & 7)
         v ^= size - 1
         down[v >> 3] |= 1 << (v & 7)
-    patterns = [(fixed, int.from_bytes(up, "little"), int.from_bytes(down, "little"))
-                for fixed, (up, down) in seeds.items()]
+    patterns = []
+    while seeds:  # each pattern's bytearrays are dropped as its integers are made
+        fixed, (up, down) = seeds.popitem()
+        patterns.append((fixed, int.from_bytes(up, "little"), int.from_bytes(down, "little")))
     failures: list[int] = []
     for block in range(start >> block_bits, (stop + size - 1) >> block_bits):
         base = block << block_bits

@@ -25,21 +25,22 @@ Validation and compilation put all angles and windings over one common
 denominator once (``CylindricalLayout.ticks``) and work in those integer
 ticks; ``Fraction`` values appear only as the layout's fields and in files.
 
-The solver sweeps back and forth over the side edges: it grows an
-active caterpillar subgraph H by walking the rotation of a current
-vertex, switching circles (and direction) whenever the walked edge's
-color differs from the current cycle.  Three runtime invariants are
-asserted: H plus both cycles stays plane; every vertex of H other than
-the current one touches an opposite-colored H edge; and each round
-strictly extends the previous round's vertex set unless the opposite
-cycle is already covered.  When the sweep does not apply (a circle is
-empty, or a cycle is bichromatic or both cycles share a color) the
-reduction path removes bichromatic-cornered vertices, solves the rest
-by the sweep or a direct construction, and re-attaches them by their
-uncrossed cycle edges.  When both reduced cycles share a color that no
-side edge has, the tree is built from side edges alone: a star from
-inner vertex 0 plus one edge per other inner vertex, read off the
-integer ticks with no search.
+``solve_cylindrical`` compiles a layout once and hands it to
+``reduce_and_solve``, the one solver.  It removes bichromatic-cornered
+vertices until both cycles are monochromatic, solves the rest, and
+re-attaches them by their uncrossed cycle edges; a layout with an empty
+circle is a one-page book instead.  Cycles of different colors go to
+the sweep, which grows an active caterpillar subgraph H back and forth
+over the side edges by walking the rotation of a current vertex,
+switching circles (and direction) whenever the walked edge's color
+differs from the current cycle.  Three runtime invariants are asserted:
+H plus both cycles stays plane; every vertex of H other than the
+current one touches an opposite-colored H edge; and each round strictly
+extends the previous round's vertex set unless the opposite cycle is
+already covered.  Cycles of one color are joined by a side edge of that
+color; when no side edge has it, the tree is built from side edges
+alone: a star from inner vertex 0 plus one edge per other inner vertex,
+read off the integer ticks with no search.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .core import (
     edge_mask,
     extract_spanning_tree,
     induced_mask,
+    induced_subdrawing,
     mask_is_plane,
     reattach,
     tree_colors,
@@ -77,6 +79,7 @@ TURN = Fraction(2)  # full turn in units of pi
 
 CLOCKWISE = "clockwise"
 COUNTERCLOCKWISE = "counterclockwise"
+FLIP = {CLOCKWISE: COUNTERCLOCKWISE, COUNTERCLOCKWISE: CLOCKWISE}
 
 
 class NotSimpleError(ValueError):
@@ -288,28 +291,18 @@ def cycle_colors(layout: CylindricalLayout) -> tuple[Optional[int], Optional[int
 
 @dataclass
 class _Context:
+    """What the sweep reads and records.  ``circles``, ``colors`` (the
+    cycle colors) and ``cycles`` (the cycle edges) are indexed by circle,
+    0 inner and 1 outer: vertex v's own circle is ``v >= n_inner`` and
+    the opposite one ``v < n_inner``."""
+
     layout: CylindricalLayout
-    drawing: Drawing
-    inner_color: int
-    outer_color: int
-    cycle_edges: frozenset[Edge]
+    circles: tuple[list[int], list[int]]
+    colors: tuple[int, int]
+    cycles: tuple[list[Edge], list[Edge]]
     assert_invariants: bool
     invariants: dict[str, bool] = field(default_factory=dict)
     trace: list[dict] = field(default_factory=list)
-
-    def is_inner(self, v: int) -> bool:
-        return v < self.layout.n_inner
-
-    def vertex_cycle_color(self, v: int) -> int:
-        return self.inner_color if self.is_inner(v) else self.outer_color
-
-    def opposite_circle(self, v: int) -> frozenset[int]:
-        if self.is_inner(v):
-            return frozenset(self.layout.outer_ids())
-        return frozenset(self.layout.inner_ids())
-
-    def record(self, name: str, passed: bool) -> None:
-        self.invariants[name] = self.invariants.get(name, True) and passed
 
 
 @dataclass
@@ -321,9 +314,8 @@ class SweepState:
     direction: str
     e_cur: Edge
     H_prev: set[Edge]
+    ctx: _Context
     round_no: int = 1
-    backbone: list[int] = field(default_factory=list)
-    ctx: Optional[_Context] = None
 
     def vertices(self) -> set[int]:
         return {v for e in self.H for v in e}
@@ -338,31 +330,18 @@ def first_side_edge(layout: CylindricalLayout, v: int, direction: str) -> Edge:
     side edge clockwise is the block's other end.
     """
     p = layout.n_inner
+    windings = layout.ticks[3]
     pick = max if direction == CLOCKWISE else min
     if v < p:
         if layout.n_outer == 0:
             raise NotApplicableError("no side edges: outer circle is empty")
-        j = pick(range(layout.n_outer), key=lambda j: layout.windings[v][j])
+        j = pick(range(layout.n_outer), key=lambda j: windings[v][j])
         return edge(v, p + j)
     if p == 0:
         raise NotApplicableError("no side edges: inner circle is empty")
     j = v - p
-    u = pick(range(p), key=lambda u: layout.windings[u][j])
+    u = pick(range(p), key=lambda u: windings[u][j])
     return edge(u, v)
-
-
-def next_edge_in_rotation(d: Drawing, v: int, e: Edge, direction: str) -> Edge:
-    """Edge after e around v, walking the full rotation in direction."""
-    assert d.rotations is not None
-    rot = d.rotations[v]
-    other = e[0] if e[1] == v else e[1]
-    i = rot.index(other)
-    step = -1 if direction == CLOCKWISE else 1
-    return edge(v, rot[(i + step) % len(rot)])
-
-
-def _flip(direction: str) -> str:
-    return COUNTERCLOCKWISE if direction == CLOCKWISE else CLOCKWISE
 
 
 def sweep_start(
@@ -371,8 +350,8 @@ def sweep_start(
     """Initial sweep state: lowest-index inner vertex, clockwise.
 
     Raises NotApplicableError when a circle is empty or the cycles are
-    not monochromatic of different colors; such inputs go through
-    reduce_and_solve instead.
+    not monochromatic of different colors; ``reduce_and_solve`` solves
+    such inputs without the sweep.
     """
     if layout.color.k != 2:
         raise ValueError(f"sweep needs exactly 2 colors, got k={layout.color.k}")
@@ -381,21 +360,11 @@ def sweep_start(
     inner_c, outer_c = cycle_colors(layout)
     if inner_c is None or outer_c is None or inner_c == outer_c:
         raise NotApplicableError("cycles are not monochromatic of different colors")
-    cyc = frozenset(
-        cycle_edges_of(layout.inner_ids()) + cycle_edges_of(layout.outer_ids())
-    )
-    ctx = _Context(
-        layout=layout,
-        drawing=d,
-        inner_color=inner_c,
-        outer_color=outer_c,
-        cycle_edges=cyc,
-        assert_invariants=assert_invariants,
-    )
-    v0 = 0
-    direction = CLOCKWISE
-    e0 = first_side_edge(layout, v0, direction)
-    return SweepState(H=set(), v_cur=v0, direction=direction, e_cur=e0, H_prev=set(), ctx=ctx, backbone=[v0])
+    circles = (layout.inner_ids(), layout.outer_ids())
+    cycles = (cycle_edges_of(circles[0]), cycle_edges_of(circles[1]))
+    ctx = _Context(layout, circles, (inner_c, outer_c), cycles, assert_invariants)
+    e0 = first_side_edge(layout, 0, CLOCKWISE)
+    return SweepState(H=set(), v_cur=0, direction=CLOCKWISE, e_cur=e0, H_prev=set(), ctx=ctx)
 
 
 class SweepViolation(Exception):
@@ -404,144 +373,97 @@ class SweepViolation(Exception):
     def __init__(self, name: str, detail: str):
         super().__init__(f"{name}: {detail}")
         self.name = name
-        self.detail = detail
 
 
-def _assert_plane(ctx: _Context, state: SweepState, added: Edge) -> None:
-    d = ctx.drawing
-    plane = mask_is_plane(edge_mask(d.n, state.H | ctx.cycle_edges), d.conflicts)
-    ctx.record("planarity-with-cycles", plane)
-    if not plane:
-        raise SweepViolation("planarity-with-cycles", f"after adding {added}")
-
-
-def _assert_opposite_incidence(ctx: _Context, state: SweepState) -> None:
-    # Evaluated after the rotation vertex moved: only the current one is exempt.
-    for x in state.vertices():
-        if x == state.v_cur:
-            continue
-        want = 1 - ctx.vertex_cycle_color(x)
-        ok = any(x in e and ctx.layout.color.color_of_edge(e) == want for e in state.H)
-        ctx.record("opposite-color-incidence", ok)
-        if not ok:
-            raise SweepViolation(
-                "opposite-color-incidence", f"vertex {x} lacks a color-{want} edge"
-            )
+def _check(ctx: _Context, name: str, ok: bool, detail: str) -> None:
+    """Record invariant ``name`` as checked, and raise SweepViolation
+    with ``detail`` when it fails."""
+    ctx.invariants[name] = ctx.invariants.get(name, True) and ok
+    if not ok:
+        raise SweepViolation(name, detail)
 
 
 def sweep_round(state: SweepState, d: Drawing) -> SweepState:
     """One sweep round: walk and grow H until the current edge leaves
     the side block or the opposite cycle is covered."""
     ctx = state.ctx
-    assert ctx is not None
     layout = ctx.layout
+    p = layout.n_inner
     guard = 2 * d.n * d.n + 8
     steps = 0
     while True:
-        covered = ctx.opposite_circle(state.v_cur) <= state.vertices()
+        v = state.v_cur
+        covered = state.vertices().issuperset(ctx.circles[v < p])
         if covered or not layout.is_side_edge(state.e_cur):
             return state
         steps += 1
         if steps > guard:
             raise SweepViolation("round-termination", "rotation walk did not terminate")
         e = state.e_cur
-        other = e[0] if e[1] == state.v_cur else e[1]
+        other = e[0] if e[1] == v else e[1]
         if ctx.assert_invariants:
             fresh = other not in state.vertices() or not state.H
-            ctx.record("caterpillar", fresh)
-            if not fresh:
-                raise SweepViolation("caterpillar", f"edge {e} revisits vertex {other}")
+            _check(ctx, "caterpillar", fresh, f"edge {e} revisits vertex {other}")
         state.H.add(e)
         ctx.trace.append(
-            {"round": state.round_no, "edge": list(e), "v_cur": state.v_cur, "direction": state.direction}
+            {"round": state.round_no, "edge": list(e), "v_cur": v, "direction": state.direction}
         )
         if ctx.assert_invariants:
-            _assert_plane(ctx, state, e)
-        if layout.color.color_of_edge(e) != ctx.vertex_cycle_color(state.v_cur):
-            state.v_cur = other
-            state.direction = _flip(state.direction)
-            state.backbone.append(other)
+            plane = mask_is_plane(edge_mask(d.n, state.H.union(*ctx.cycles)), d.conflicts)
+            _check(ctx, "planarity-with-cycles", plane, f"after adding {e}")
+        if layout.color.color_of_edge(e) != ctx.colors[v >= p]:
+            v, other = other, v
+            state.v_cur = v
+            state.direction = FLIP[state.direction]
             ctx.trace[-1]["switched"] = True
         if ctx.assert_invariants:
-            _assert_opposite_incidence(ctx, state)
-        state.e_cur = next_edge_in_rotation(d, state.v_cur, e, state.direction)
-
-
-def _sweep_result(state: SweepState, d: Drawing) -> SolveReport:
-    ctx = state.ctx
-    assert ctx is not None
-    layout = ctx.layout
-    covered_color = ctx.outer_color if ctx.is_inner(state.v_cur) else ctx.inner_color
-    keep_color = 1 - covered_color
-    if keep_color == ctx.inner_color:
-        keep_cycle = cycle_edges_of(layout.inner_ids())
-    else:
-        keep_cycle = cycle_edges_of(layout.outer_ids())
-    sub = frozenset(keep_cycle) | {
-        e for e in state.H if layout.color.color_of_edge(e) == keep_color
-    }
-    try:
-        tree = extract_spanning_tree(d.n, sub)
-    except ValueError:
-        ctx.record("output-spanning-tree", False)
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            checked_invariants=tuple(ctx.invariants.items()),
-            witness={
-                "reason": "kept cycle plus same-colored sweep edges do not span",
-                "subgraph": sorted(sub),
-                "trace": ctx.trace,
-            },
-        )
-    witness = {
-        "tree_color": keep_color,
-        "rounds": state.round_no,
-        "backbone": list(state.backbone),
-        "active_subgraph": sorted(state.H),
-    }
-    checked = tuple(ctx.invariants.items())
-    return certify(d, layout.color, tree, checked, color=keep_color, witness=witness, failure=witness)
+            # Checked after the rotation vertex moved: only the current one is exempt.
+            for x in state.vertices():
+                if x == state.v_cur:
+                    continue
+                want = ctx.colors[x < p]
+                ok = any(x in f and layout.color.color_of_edge(f) == want for f in state.H)
+                _check(ctx, "opposite-color-incidence", ok, f"vertex {x} lacks a color-{want} edge")
+        # The next edge around v in the full rotation, walked in the current direction.
+        rot = d.rotations[v]
+        step = -1 if state.direction == CLOCKWISE else 1
+        state.e_cur = edge(v, rot[(rot.index(other) + step) % len(rot)])
 
 
 def sweep_run(
     d: Drawing, layout: CylindricalLayout, assert_invariants: bool = True
 ) -> SolveReport:
     """Full sweep: rounds alternate direction until the opposite cycle
-    is covered, then the kept cycle plus same-colored H edges span.
+    is covered, then the current vertex's cycle plus the H edges of its
+    color span.  This is the whole solve when the cycles are
+    monochromatic in different colors; ``reduce_and_solve`` returns the
+    report unchanged then, and otherwise calls this on the reduced
+    layout.  Raises NotApplicableError where ``sweep_start`` does.
 
     Any invariant violation aborts with a counterexample report that
     carries the full step trace.
     """
-    return _sweep_from(sweep_start(d, layout, assert_invariants), d)
-
-
-def _sweep_from(state: SweepState, d: Drawing) -> SolveReport:
+    state = sweep_start(d, layout, assert_invariants)
     ctx = state.ctx
-    assert ctx is not None
+    p = layout.n_inner
     max_rounds = 2 * d.n + 4
     try:
         while True:
             state = sweep_round(state, d)
-            if ctx.opposite_circle(state.v_cur) <= state.vertices():
-                return _sweep_result(state, d)
+            if state.vertices().issuperset(ctx.circles[state.v_cur < p]):
+                break
             if state.round_no >= 2:
                 progress = state.vertices() > {v for e in state.H_prev for v in e}
-                ctx.record("round-progress", progress)
-                if not progress:
-                    raise SweepViolation(
-                        "round-progress",
-                        f"round {state.round_no} did not strictly extend the previous vertex set",
-                    )
+                detail = f"round {state.round_no} did not strictly extend the previous vertex set"
+                _check(ctx, "round-progress", progress, detail)
             if state.round_no > max_rounds:
                 raise SweepViolation("round-termination", "too many sweep rounds")
-            state.H_prev = set(state.H)
-            state.H = set()
+            state.H_prev, state.H = state.H, set()
             state.round_no += 1
-            state.direction = _flip(state.direction)
-            state.e_cur = first_side_edge(ctx.layout, state.v_cur, state.direction)
-            state.backbone = [state.v_cur]
+            state.direction = FLIP[state.direction]
+            state.e_cur = first_side_edge(layout, state.v_cur, state.direction)
     except SweepViolation as exc:
-        ctx.record(exc.name, False)
+        ctx.invariants[exc.name] = False
         return SolveReport(
             status=STATUS_COUNTEREXAMPLE,
             checked_invariants=tuple(ctx.invariants.items()),
@@ -552,6 +474,28 @@ def _sweep_from(state: SweepState, d: Drawing) -> SolveReport:
                 "round": state.round_no,
             },
         )
+
+    own = state.v_cur >= p
+    keep_color = ctx.colors[own]
+    sub = frozenset(ctx.cycles[own]) | {
+        e for e in state.H if layout.color.color_of_edge(e) == keep_color
+    }
+    try:
+        tree = extract_spanning_tree(d.n, sub)
+    except ValueError:
+        ctx.invariants["output-spanning-tree"] = False
+        return SolveReport(
+            status=STATUS_COUNTEREXAMPLE,
+            checked_invariants=tuple(ctx.invariants.items()),
+            witness={
+                "reason": "kept cycle plus same-colored sweep edges do not span",
+                "subgraph": sorted(sub),
+                "trace": ctx.trace,
+            },
+        )
+    witness = {"tree_color": keep_color, "rounds": state.round_no}
+    checked = tuple(ctx.invariants.items())
+    return certify(d, layout.color, tree, checked, color=keep_color, witness=witness, failure=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +535,19 @@ def _as_book_layout(layout: CylindricalLayout):
 def reduce_and_solve(
     d: Drawing, layout: CylindricalLayout, assert_invariants: bool = True
 ) -> SolveReport:
-    """Solve layouts that the sweep preconditions exclude.
+    """Monochromatic plane spanning tree of a 2-colored annulus layout
+    compiled to ``d``: the one annulus solver, which ``solve_cylindrical``
+    calls after compiling.
 
     An empty circle reduces to a one-page book drawing.  Otherwise
     vertices whose two incident cycle edges differ in color are removed
-    (lowest index first) until both cycles are monochromatic; the
-    reduced drawing is solved by the sweep, by both cycles plus one
-    equal-colored side edge, or by ``side_edge_tree``; the removed
-    vertices are then re-attached in inverse order by their recorded
-    cycle edge of the tree's color.
+    (lowest index first) until both cycles are monochromatic.  Cycles
+    of different colors go to ``sweep_run``: with nothing removed its
+    report is the answer, unchanged, and a reduced drawing is restricted
+    from ``d``, not compiled again.  Cycles of one color are solved by
+    both cycles plus one equal-colored side edge, or by
+    ``side_edge_tree``.  The removed vertices are then re-attached in
+    inverse order by their recorded cycle edge of the tree's color.
 
     ``side_edge_tree`` serves the branch where both cycles have a color
     c that no side edge has, so every side edge has color 1 - c.  Both
@@ -630,7 +578,7 @@ def reduce_and_solve(
     ``certify`` still checks the answer; a miss is a counterexample.
     """
     if layout.color.k != 2:
-        raise ValueError(f"reduction needs exactly 2 colors, got k={layout.color.k}")
+        raise ValueError(f"sweep needs exactly 2 colors, got k={layout.color.k}")
     p, q = layout.n_inner, layout.n_outer
     if p == 0 or q == 0:
         report = solve_book(_as_book_layout(layout))
@@ -660,21 +608,17 @@ def reduce_and_solve(
         else:
             break
 
-    if removed:
-        sub_layout, mapping = restrict_layout(layout, alive_inner + alive_outer)
-    else:  # nothing removed: the sub-layout would equal the layout
-        sub_layout, mapping = layout, {v: v for v in range(layout.n)}
-    inv_map = {new: old for old, new in mapping.items()}
+    kept = alive_inner + alive_outer  # ascending: reduced vertex i is vertex kept[i]
+    sub_layout = restrict_layout(layout, kept)[0] if removed else layout
     inner_c, outer_c = cycle_colors(sub_layout)
-    checked: list[tuple[str, bool]] = []
-    removed_ids = [v for v, _ in removed]
 
     if inner_c is not None and outer_c is not None and inner_c != outer_c:
-        sub_report = sweep_run(compile_layout(sub_layout), sub_layout, assert_invariants)
-        if sub_report.status != STATUS_TREE_FOUND:
+        sub_d = induced_subdrawing(d, None, kept)[0] if removed else d
+        sub_report = sweep_run(sub_d, sub_layout, assert_invariants)
+        if not removed or sub_report.status != STATUS_TREE_FOUND:
             return sub_report
         sub_tree = sub_report.tree
-        checked.extend(sub_report.checked_invariants)
+        checked = list(sub_report.checked_invariants)
         branch = "sweep"
     elif inner_c is not None and inner_c == outer_c:
         c = inner_c
@@ -691,16 +635,15 @@ def reduce_and_solve(
         else:
             sub_tree = side_edge_tree(sub_layout)
             branch = "same-color-fallback"
-        checked.append(("reduced-cycles-same-color", True))
+        checked = [("reduced-cycles-same-color", True)]
     else:
         return SolveReport(
             status=STATUS_COUNTEREXAMPLE,
-            checked_invariants=tuple(checked),
             witness={"reason": "reduction left a bichromatic cycle"},
         )
 
     assert sub_tree is not None
-    tree = {edge(inv_map[a], inv_map[b]) for a, b in sub_tree}
+    tree = {edge(kept[a], kept[b]) for a, b in sub_tree}
     tcol = tree_colors(layout.color, frozenset(tree))
     if len(tcol) != 1:
         return SolveReport(
@@ -708,7 +651,7 @@ def reduce_and_solve(
             checked_invariants=tuple(checked),
             witness={"reason": "reduced tree is not monochromatic", "colors": sorted(tcol)},
         )
-    witness = {"branch": branch, "removed_vertices": removed_ids}
+    witness = {"branch": branch, "removed_vertices": [v for v, _ in removed]}
     return reattach(d, layout.color, tree, tcol.pop(), removed, checked, witness=witness, failure=witness)
 
 
@@ -731,13 +674,9 @@ def side_edge_tree(layout: CylindricalLayout) -> EdgeSet:
 def solve_cylindrical(
     layout: CylindricalLayout, assert_invariants: bool = True
 ) -> SolveReport:
-    """Monochromatic plane spanning tree of a 2-colored annulus layout."""
-    d = compile_layout(layout)
-    try:
-        state = sweep_start(d, layout, assert_invariants)
-    except NotApplicableError:
-        return reduce_and_solve(d, layout, assert_invariants)
-    return _sweep_from(state, d)
+    """Monochromatic plane spanning tree of a 2-colored annulus layout:
+    ``reduce_and_solve`` on the layout compiled once."""
+    return reduce_and_solve(compile_layout(layout), layout, assert_invariants)
 
 
 def rotation_order_check(d: Drawing, v: int) -> list[int]:

@@ -378,8 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.file is None and args.gen is None:
-        parser.error("verify needs a file or --gen")
+    if args.command == "verify":
+        if args.file is None and args.gen is None:
+            parser.error("verify needs a file or --gen")
+        if args.file is not None and args.gen is not None:
+            parser.error("verify takes a file or --gen, not both")
+        if args.file is not None and (args.n, args.n_inner) != (None, None):
+            parser.error("--n and --n-inner apply only to --gen, not to a file")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -29,18 +29,18 @@ ticks; ``Fraction`` values appear only as the layout's fields and in files.
 ``reduce_and_solve``, the one solver.  It removes bichromatic-cornered
 vertices until both cycles are monochromatic, solves the rest, and
 re-attaches them by their uncrossed cycle edges; a layout with an empty
-circle is a one-page book instead.  Cycles of different colors go to
-the sweep, which grows an active caterpillar subgraph H back and forth
-over the side edges by walking the rotation of a current vertex,
-switching circles (and direction) whenever the walked edge's color
-differs from the current cycle.  Three runtime invariants are asserted:
-H plus both cycles stays plane; every vertex of H other than the
-current one touches an opposite-colored H edge; and each round strictly
-extends the previous round's vertex set unless the opposite cycle is
-already covered.  Cycles of one color are joined by a side edge of that
-color; when no side edge has it, the tree is built from side edges
-alone: a star from inner vertex 0 plus one edge per other inner vertex,
-read off the integer ticks with no search.
+circle is a one-page book instead.  The reduced cycles branch two ways.
+Cycles of different colors go to the sweep, which grows an active
+caterpillar subgraph H back and forth over the side edges by walking
+the rotation of a current vertex, switching circles (and direction)
+whenever the walked edge's color differs from the current cycle.  Three
+runtime invariants are asserted: H plus both cycles stays plane; every
+vertex of H other than the current one touches an opposite-colored H
+edge; and each round strictly extends the previous round's vertex set
+unless the opposite cycle is already covered.  Cycles of one color are
+joined by a side edge of that color; when no side edge has it, the tree
+is built from side edges alone: a star from inner vertex 0 plus one
+edge per other inner vertex, read off the integer ticks with no search.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .core import (
     induced_subdrawing,
     mask_is_plane,
     reattach,
-    tree_colors,
 )
 from .book import PAGE_TOP, BookLayout, interleaving_rows, solve_book
 
@@ -430,6 +429,15 @@ def sweep_round(state: SweepState, d: Drawing) -> SweepState:
         state.e_cur = edge(v, rot[(rot.index(other) + step) % len(rot)])
 
 
+def _aborted(ctx: _Context, name: str, reason: str, **extra) -> SolveReport:
+    """Counterexample of a sweep that failed check ``name``: the checks
+    so far with ``name`` failed, and a witness of ``reason``, ``extra``
+    and the step trace."""
+    ctx.invariants[name] = False
+    witness = {"reason": reason, **extra, "trace": ctx.trace}
+    return SolveReport(STATUS_COUNTEREXAMPLE, checked_invariants=tuple(ctx.invariants.items()), witness=witness)
+
+
 def sweep_run(
     d: Drawing, layout: CylindricalLayout, assert_invariants: bool = True
 ) -> SolveReport:
@@ -463,17 +471,7 @@ def sweep_run(
             state.direction = FLIP[state.direction]
             state.e_cur = first_side_edge(layout, state.v_cur, state.direction)
     except SweepViolation as exc:
-        ctx.invariants[exc.name] = False
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            checked_invariants=tuple(ctx.invariants.items()),
-            witness={
-                "reason": f"sweep invariant failed: {exc}",
-                "invariant": exc.name,
-                "trace": ctx.trace,
-                "round": state.round_no,
-            },
-        )
+        return _aborted(ctx, exc.name, f"sweep invariant failed: {exc}", invariant=exc.name, round=state.round_no)
 
     own = state.v_cur >= p
     keep_color = ctx.colors[own]
@@ -483,16 +481,8 @@ def sweep_run(
     try:
         tree = extract_spanning_tree(d.n, sub)
     except ValueError:
-        ctx.invariants["output-spanning-tree"] = False
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            checked_invariants=tuple(ctx.invariants.items()),
-            witness={
-                "reason": "kept cycle plus same-colored sweep edges do not span",
-                "subgraph": sorted(sub),
-                "trace": ctx.trace,
-            },
-        )
+        reason = "kept cycle plus same-colored sweep edges do not span"
+        return _aborted(ctx, "output-spanning-tree", reason, subgraph=sorted(sub))
     witness = {"tree_color": keep_color, "rounds": state.round_no}
     checked = tuple(ctx.invariants.items())
     return certify(d, layout.color, tree, checked, color=keep_color, witness=witness, failure=witness)
@@ -541,13 +531,24 @@ def reduce_and_solve(
 
     An empty circle reduces to a one-page book drawing.  Otherwise
     vertices whose two incident cycle edges differ in color are removed
-    (lowest index first) until both cycles are monochromatic.  Cycles
-    of different colors go to ``sweep_run``: with nothing removed its
-    report is the answer, unchanged, and a reduced drawing is restricted
-    from ``d``, not compiled again.  Cycles of one color are solved by
-    both cycles plus one equal-colored side edge, or by
-    ``side_edge_tree``.  The removed vertices are then re-attached in
-    inverse order by their recorded cycle edge of the tree's color.
+    (lowest index first) until both cycles are monochromatic.  Removal
+    keeps at least 2 vertices on a circle that had them, and after it
+    ``cycle_colors`` names a color for each circle, by its size:
+
+    * 3 or more vertices: no corner is bichromatic, so every cycle edge
+      has the color of its neighbor, all around the circle;
+    * 2 vertices: the cycle is one edge;
+    * 1 vertex: the circle takes the color opposite the other cycle's
+      (opposite the lone edge's for the inner one of a 2-vertex layout).
+
+    So the branch is two-way.  Cycles of different colors go to
+    ``sweep_run``: with nothing removed its report is the answer,
+    unchanged, and a reduced drawing is restricted from ``d``, not
+    compiled again.  Cycles of one color c are solved by both cycles
+    plus one side edge of color c, or by ``side_edge_tree``, whose edges
+    all have color 1 - c.  The removed vertices are then re-attached in
+    inverse order by their recorded cycle edge of the tree's color: the
+    sweep's ``tree_color``, c, or 1 - c.
 
     ``side_edge_tree`` serves the branch where both cycles have a color
     c that no side edge has, so every side edge has color 1 - c.  Both
@@ -612,47 +613,30 @@ def reduce_and_solve(
     sub_layout = restrict_layout(layout, kept)[0] if removed else layout
     inner_c, outer_c = cycle_colors(sub_layout)
 
-    if inner_c is not None and outer_c is not None and inner_c != outer_c:
+    if inner_c != outer_c:
         sub_d = induced_subdrawing(d, None, kept)[0] if removed else d
         sub_report = sweep_run(sub_d, sub_layout, assert_invariants)
         if not removed or sub_report.status != STATUS_TREE_FOUND:
             return sub_report
-        sub_tree = sub_report.tree
+        sub_tree, color = sub_report.tree, sub_report.witness["tree_color"]
         checked = list(sub_report.checked_invariants)
         branch = "sweep"
-    elif inner_c is not None and inner_c == outer_c:
+    else:
         c = inner_c
         side = next((edge(u, w) for u in sub_layout.inner_ids() for w in sub_layout.outer_ids()
                      if sub_layout.color.color_of(u, w) == c), None)
         if side is not None:
-            sub = frozenset(
-                cycle_edges_of(sub_layout.inner_ids())
-                + cycle_edges_of(sub_layout.outer_ids())
-                + [side]
-            )
-            sub_tree = extract_spanning_tree(sub_layout.n, sub)
+            sub = frozenset(cycle_edges_of(sub_layout.inner_ids()) + cycle_edges_of(sub_layout.outer_ids()) + [side])
+            sub_tree, color = extract_spanning_tree(sub_layout.n, sub), c
             branch = "same-color-side-edge"
         else:
-            sub_tree = side_edge_tree(sub_layout)
+            sub_tree, color = side_edge_tree(sub_layout), 1 - c
             branch = "same-color-fallback"
         checked = [("reduced-cycles-same-color", True)]
-    else:
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            witness={"reason": "reduction left a bichromatic cycle"},
-        )
 
-    assert sub_tree is not None
     tree = {edge(kept[a], kept[b]) for a, b in sub_tree}
-    tcol = tree_colors(layout.color, frozenset(tree))
-    if len(tcol) != 1:
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            checked_invariants=tuple(checked),
-            witness={"reason": "reduced tree is not monochromatic", "colors": sorted(tcol)},
-        )
     witness = {"branch": branch, "removed_vertices": [v for v, _ in removed]}
-    return reattach(d, layout.color, tree, tcol.pop(), removed, checked, witness=witness, failure=witness)
+    return reattach(d, layout.color, tree, color, removed, checked, witness=witness, failure=witness)
 
 
 def side_edge_tree(layout: CylindricalLayout) -> EdgeSet:

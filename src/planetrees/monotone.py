@@ -19,7 +19,6 @@ no crossing pair may join tree edges of two different groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     Drawing,
@@ -121,30 +120,12 @@ def solve_monotone(
     induced = [induced_subdrawing(dr.drawing, c, gv) for gv in group_vertices]
 
     # First pass: note which colors own a monochromatic tree somewhere.
-    keep: set[int] = set()
-    cached: list[Optional[SolveReport]] = []
-    for sub_d, sub_c in induced:
-        assert sub_c is not None
-        rep = find_plane_tree(sub_d, sub_c, mode="monochromatic")
-        if rep.status == STATUS_TREE_FOUND:
-            col = tree_colors(sub_c, rep.tree).pop()
-            keep.add(col)
-            cached.append(rep)
-        else:
-            cached.append(None)
-
-    removable = [col for col in range(c.k) if col not in keep]
-    if not removable:
-        return SolveReport(
-            status=STATUS_COUNTEREXAMPLE,
-            witness={
-                "reason": "every color owns a monochromatic group tree, "
-                "but the group count bounds the kept colors below k",
-                "kept": sorted(keep),
-                "k": c.k,
-            },
-        )
-    removed = removable[0]
+    # A group keeps at most one color and there are fewer groups than
+    # colors, so some color is kept by none.
+    cached = [find_plane_tree(sub_d, sub_c, mode="monochromatic") for sub_d, sub_c in induced]
+    keep = {tree_colors(sub_c, rep.tree).pop()
+            for (_, sub_c), rep in zip(induced, cached) if rep.status == STATUS_TREE_FOUND}
+    removed = min(set(range(c.k)) - keep)
 
     # Second pass: a tree avoiding the removed color for every group.
     table = edge_table(n)
@@ -152,7 +133,7 @@ def solve_monotone(
     group_trees = []
     for gi, ((sub_d, sub_c), rep) in enumerate(zip(induced, cached)):
         assert sub_c is not None
-        if rep is None:
+        if rep.status != STATUS_TREE_FOUND:
             rep = find_plane_tree(sub_d, sub_c, mode="avoid", color=removed)
             if rep.status != STATUS_TREE_FOUND:
                 return SolveReport(

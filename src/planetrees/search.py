@@ -357,6 +357,19 @@ def _verify(d: Drawing, pool, workers: int) -> tuple[int, array.array, int]:
     return checked, failing, len(plane_masks)
 
 
+def _verify_each(drawings: Sequence[Drawing], long_run: bool, jobs: int) -> list[tuple[int, array.array, int]]:
+    """``_verify`` of each drawing, after the desk-scale guards of all of
+    them, in one pool sized for the drawing with the most blocks."""
+    blocks = 0
+    for d in drawings:
+        check_desk_scale(d.n, long_run)
+        total, block_bits = _coloring_blocks(d.n)
+        blocks = max(blocks, total >> block_bits)
+    workers = pool_size(jobs, blocks)
+    with _worker_pool(workers) as pool:
+        return [_verify(d, pool, workers) for d in drawings]
+
+
 def verify_all_colorings(
     d: Drawing,
     long_run: bool = False,
@@ -376,11 +389,7 @@ def verify_all_colorings(
     are 5,370,725 weak isomorphism classes of drawings with more than
     10^8 colorings each, far beyond desk scale.
     """
-    check_desk_scale(d.n, long_run)
-    total, block_bits = _coloring_blocks(d.n)
-    workers = pool_size(jobs, total >> block_bits)
-    with _worker_pool(workers) as pool:
-        checked, failing, trees = _verify(d, pool, workers)
+    [(checked, failing, trees)] = _verify_each([d], long_run, jobs)
     return VerifyReport(
         n=d.n, colorings_checked=checked, failures=_Failures([(None, d.n, failing)]), plane_tree_count=trees
     )
@@ -420,23 +429,12 @@ def verify_classes(
     """
     if not 0 <= start_index <= len(records):
         raise ValueError(f"start index {start_index} out of range 0..{len(records)} for {len(records)} records")
-    todo = [(rec_no, drawing) for rec_no, drawing in enumerate(records) if rec_no >= start_index]
-    blocks = 1
-    for _, drawing in todo:
-        check_desk_scale(drawing.n, long_run)
-        total, block_bits = _coloring_blocks(drawing.n)
-        blocks = max(blocks, total >> block_bits)
-    workers = pool_size(jobs, blocks)
-    colorings = 0
-    parts = []
-    with _worker_pool(workers) as pool:
-        for rec_no, drawing in todo:
-            checked, failing, _ = _verify(drawing, pool, workers)
-            colorings += checked
-            parts.append((rec_no, drawing.n, failing))
+    todo = records[start_index:]
+    results = _verify_each(todo, long_run, jobs)
+    parts = [(rec_no, d.n, failing) for rec_no, (d, (_, failing, _)) in enumerate(zip(todo, results), start_index)]
     return ClassFileReport(
         records_verified=len(todo),
-        colorings_checked=colorings,
+        colorings_checked=sum(checked for checked, _, _ in results),
         failures=_Failures(parts),
         first_record=start_index,
     )

@@ -19,6 +19,7 @@ from planetrees.cylindrical import (
     COUNTERCLOCKWISE,
     NotApplicableError,
     compile_layout,
+    cycle_colors,
     cycle_edges_of,
     first_side_edge,
     reduce_and_solve,
@@ -111,3 +112,25 @@ def test_first_side_edge_picks_by_rational_winding():
                 else:
                     want = (pick(range(p), key=lambda u: layout.windings[u][v - p]), v)
                 assert first_side_edge(layout, v, direction) == want
+
+
+@pytest.mark.parametrize("paint", [None, (0, 1), (1, 0), (0, 0), (1, 1)])
+def test_reduction_leaves_cycles_of_one_color_each(paint):
+    """The vertices a solve kept have monochromatic cycles (``cycle_colors``
+    names both), and the sweep ran exactly when their colors differ; a
+    report without a ``branch`` is the sweep's own."""
+    branches = set()
+    for seed in range(60):
+        layout = _layout(seed, n_max=16)
+        if paint is not None:
+            layout = _recolored(layout, *paint)
+        rep = solve_cylindrical(layout)
+        assert rep.status == "tree-found", seed
+        removed = set(rep.witness.get("removed_vertices", ()))
+        kept = [v for v in range(layout.n) if v not in removed]
+        inner_c, outer_c = cycle_colors(restrict_layout(layout, kept)[0])
+        assert inner_c is not None and outer_c is not None, seed
+        branch = rep.witness.get("branch", "sweep")
+        assert (branch == "sweep") == (inner_c != outer_c), seed
+        branches.add(branch)
+    assert "sweep" in branches

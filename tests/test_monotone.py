@@ -199,3 +199,18 @@ def test_slab_disjointness_is_checked_on_trusted_drawings():
 def test_colors_needed_needs_two_vertices():
     with pytest.raises(ValueError, match="need n >= 2"):
         colors_needed(1)
+
+
+def test_removed_color_is_the_least_color_no_group_keeps():
+    removed_above_zero = 0
+    for n in range(3, 20):
+        for d in (2, 3, 6):
+            for seed in range(2):
+                k = len(group_partition(n, d)) + 1 + seed  # seed 1 leaves a spare color
+                p = gen_points(n, 100 * n + 10 * d + seed, k=k)
+                rep = solve_monotone(MonotoneDrawing.from_points(p), p.color, d=d)
+                assert rep.status == "tree-found", (n, d, seed)
+                free = set(range(k)) - set(rep.witness["kept_colors"])
+                assert rep.witness["removed_color"] == min(free), (n, d, seed)
+                removed_above_zero += rep.witness["removed_color"] > 0
+    assert removed_above_zero  # some group kept color 0, so the rule is not just "color 0"

@@ -124,3 +124,25 @@ def test_brute_avoid_colour_outside_k_exits_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: color 5 out of range 0..1\n"
+
+
+def test_verify_refuses_a_file_with_gen_before_opening_it(capsys, tmp_path):
+    missing = tmp_path / "missing.drawing"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(missing), "--gen", "book", "--n", "4"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: verify takes a file or --gen, not both" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--n", "9"], ["--n-inner", "3"], ["--n", "9", "--n-inner", "3"]])
+def test_verify_refuses_gen_sizes_on_a_file(capsys, tmp_path, flags):
+    path = tmp_path / "k3.pts"
+    path.write_text(POINTS.format("p 0: 59 17\np 1: 40 26\np 2: 11 29"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), *flags])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --n and --n-inner apply only to --gen, not to a file" in captured.err

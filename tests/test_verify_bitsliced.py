@@ -265,3 +265,16 @@ def test_n7_points_long_run():
     assert report.colorings_checked == 1 << 20
     assert report.plane_tree_count == 4582
     assert report.failures == ()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_one_drawing_verifies_as_a_one_record_class_file(references, small_blocks, serial_pool, jobs):
+    for case in CASES:
+        d = references[case][0]
+        single = verify_all_colorings(d, jobs=jobs)
+        pools = list(SerialPool.started)
+        record = search.verify_classes([d], jobs=jobs)
+        assert SerialPool.started == pools * 2, case  # the same pool, or none, for both
+        SerialPool.started = []
+        assert record.colorings_checked == single.colorings_checked
+        assert [fail for _, fail in record.failures] == list(single.failures)

@@ -223,6 +223,8 @@ def _generated_drawing(args) -> Drawing:
     n = args.n
     if n is None:
         raise ValueError("verify --gen needs --n")
+    if args.n_inner is not None and "n_inner" not in GENERATORS[args.gen][0]:
+        raise ValueError(f"verify --gen {args.gen} does not take --n-inner")
     check_desk_scale(n, args.long_run)
     n_inner = n // 2 if args.n_inner is None else args.n_inner
     sizes = {"n": n, "n_inner": n_inner, "n_outer": n - n_inner}
@@ -250,7 +252,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    text = GENERATORS[args.gen_class][2](_generate(args.gen_class, vars(args), args.seed, args.k))
+    flags, _, write = GENERATORS[args.gen_class]
+    for flag in ("n", "n_inner", "n_outer"):
+        if vars(args)[flag] is not None and flag not in flags:
+            raise ValueError(f"gen --class {args.gen_class} does not take --{flag.replace('_', '-')}")
+    text = write(_generate(args.gen_class, vars(args), args.seed, args.k))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -326,18 +326,16 @@ def first_side_edge(layout: CylindricalLayout, v: int, direction: str) -> Edge:
     In the stored counterclockwise rotation the side edges of an inner
     vertex appear by increasing winding and those of an outer vertex by
     decreasing winding; the cycle edges bound the block, so the first
-    side edge clockwise is the block's other end.
+    side edge clockwise is the block's other end.  Callers keep both
+    circles non-empty: the sweep runs after ``sweep_start`` refused an
+    empty one, and ``side_edge_tree`` needs 2 vertices on each.
     """
     p = layout.n_inner
     windings = layout.ticks[3]
     pick = max if direction == CLOCKWISE else min
     if v < p:
-        if layout.n_outer == 0:
-            raise NotApplicableError("no side edges: outer circle is empty")
         j = pick(range(layout.n_outer), key=lambda j: windings[v][j])
         return edge(v, p + j)
-    if p == 0:
-        raise NotApplicableError("no side edges: inner circle is empty")
     j = v - p
     u = pick(range(p), key=lambda u: windings[u][j])
     return edge(u, v)
@@ -529,7 +527,9 @@ def reduce_and_solve(
     compiled to ``d``: the one annulus solver, which ``solve_cylindrical``
     calls after compiling.
 
-    An empty circle reduces to a one-page book drawing.  Otherwise
+    An empty circle reduces to a one-page book drawing, whose
+    ``solve_book`` report always carries a tree to certify on ``d``: a
+    peeled vertex has edges of both colors to re-attach by.  Otherwise
     vertices whose two incident cycle edges differ in color are removed
     (lowest index first) until both cycles are monochromatic.  Removal
     keeps at least 2 vertices on a circle that had them, and after it
@@ -583,11 +583,8 @@ def reduce_and_solve(
     p, q = layout.n_inner, layout.n_outer
     if p == 0 or q == 0:
         report = solve_book(_as_book_layout(layout))
-        if report.status != STATUS_TREE_FOUND:
-            return report
         witness = {"branch": "book", "removed_vertices": []}
-        checked = report.checked_invariants
-        return certify(d, layout.color, report.tree, checked, witness=witness, failure=witness)
+        return certify(d, layout.color, report.tree, report.checked_invariants, witness=witness, failure=witness)
 
     alive_inner = layout.inner_ids()
     alive_outer = layout.outer_ids()

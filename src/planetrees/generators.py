@@ -18,7 +18,7 @@ from .cylindrical import CylindricalLayout, NotSimpleError, side_crossings
 from .straightline import PointDrawing
 
 WRAP_PROB = 0.15  # chance that an annulus winding gains or loses a full turn
-MAX_RESAMPLES = 64  # annulus candidates drawn before gen_cylindrical gives up
+WRAP_ATTEMPTS = 32  # annulus attempts over which the wrap probability falls to zero
 
 
 class GenerationError(RuntimeError):
@@ -54,9 +54,13 @@ def gen_cylindrical(
     start from the minimal representative of the angle difference and
     occasionally gain or lose a full turn; candidates are re-sampled
     until ``side_crossings`` accepts them, with the wrap probability
-    decaying to zero so the final attempts are the always simple
-    minimal-winding layout.  Only the accepted candidate becomes exact
-    angles and windings.  Gives up after ``MAX_RESAMPLES`` attempts.
+    falling to zero at attempt ``WRAP_ATTEMPTS``.  Minimal windings are
+    always simple, so that attempt is the last (were it refused, the
+    refusal is raised): an independent pair's angular differences at
+    the two circles differ by less than a turn, so it meets at most
+    once, and an adjacent pair's are 0 and less than a turn, so it
+    never meets.  Only the accepted candidate becomes exact angles and
+    windings.
     """
     if n_inner < 0 or n_outer < 0:
         raise ValueError(f"circle sizes must be non-negative, got n_inner={n_inner}, n_outer={n_outer}")
@@ -66,11 +70,10 @@ def gen_cylindrical(
     rng = random.Random(f"cylindrical:{n_inner}:{n_outer}:{seed}")
     resolution = max(8 * n * n, 64)  # ticks per full turn
     color = gen_coloring(n, k, seed)
-    last_error = "no attempt made"
-    for attempt in range(MAX_RESAMPLES):
+    for attempt in range(WRAP_ATTEMPTS + 1):
         inner = sorted(rng.sample(range(resolution), n_inner))
         outer = sorted(rng.sample(range(resolution), n_outer))
-        p_wrap = wrap_prob * max(0.0, 1.0 - attempt / (MAX_RESAMPLES // 2))
+        p_wrap = wrap_prob * (1.0 - attempt / WRAP_ATTEMPTS)
         windings = [[(b - a) % resolution for b in outer] for a in inner]
         for row in windings:
             for j, w in enumerate(row):
@@ -79,15 +82,12 @@ def gen_cylindrical(
         sides = [((u, w), a, a + t) for u, a in enumerate(inner) for w, t in enumerate(windings[u], n_inner)]
         try:
             side_crossings(sides, resolution)
-        except NotSimpleError as exc:
-            last_error = str(exc)
-            continue
+        except NotSimpleError:
+            if p_wrap:
+                continue
+            raise
         exact = [tuple(Fraction(2 * t, resolution) for t in row) for row in (inner, outer, *windings)]
         return CylindricalLayout(exact[0], exact[1], tuple(exact[2:]), color)
-    raise GenerationError(
-        f"no simple layout within {MAX_RESAMPLES} attempts "
-        f"(n_inner={n_inner}, n_outer={n_outer}, seed={seed}); last rejection: {last_error}"
-    )
 
 
 def gen_book(n: int, seed: int, k: int = 2) -> BookLayout:

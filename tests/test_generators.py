@@ -1,8 +1,9 @@
 import pytest
 
+from planetrees import generators
 from planetrees.book import compile_book
 from planetrees.core import validate_drawing
-from planetrees.cylindrical import compile_layout
+from planetrees.cylindrical import NotSimpleError, compile_layout
 from planetrees.formats import (
     serialize_book,
     serialize_coloring,
@@ -97,3 +98,25 @@ def test_generator_input_validation():
 def test_generation_error_diagnostic():
     with pytest.raises(GenerationError, match="attempts"):
         gen_points(30, 0, max_resamples=5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coloring_forced_fill_gives_every_color_an_edge(seed):
+    # With k = C(5, 2) = 10 one uniform draw hits every color with
+    # probability 10!/10^10 = 3.6e-4, so the 100 draws miss and the fill runs.
+    coloring = gen_coloring(5, 10, seed)
+    assert sorted(set(coloring.colors)) == list(range(10))
+    assert gen_coloring(5, 10, seed) == coloring
+
+
+def test_annulus_generator_raises_when_a_minimal_candidate_is_refused(monkeypatch):
+    attempts = []
+
+    def refuse(sides, turn):
+        attempts.append(sides)
+        raise NotSimpleError("refused")
+
+    monkeypatch.setattr(generators, "side_crossings", refuse)
+    with pytest.raises(NotSimpleError, match="^refused$"):
+        gen_cylindrical(2, 3, 0)
+    assert len(attempts) == generators.WRAP_ATTEMPTS + 1

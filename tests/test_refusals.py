@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from planetrees import cylindrical
+from planetrees.book import PAGE_TOP, BookLayout
 from planetrees.cli import main
-from planetrees.core import Drawing, validate_drawing
+from planetrees.core import Drawing, EdgeColoring, validate_drawing
+from planetrees.cylindrical import CylindricalLayout, NotSimpleError, compile_layout, rotation_order_check, sweep_start
 from planetrees.formats import (
     ParseError,
     parse_book,
@@ -16,6 +19,12 @@ from planetrees.formats import (
     parse_drawing,
     parse_points,
 )
+from planetrees.generators import gen_coloring, gen_points
+from planetrees.monotone import MonotoneDrawing, group_partition, solve_monotone
+from planetrees.render import render_svg
+from planetrees.straightline import PointDrawing
+
+from conftest import fan_layout, uniform_coloring
 
 COLORS3 = "colors: k=2\ne 0 1 : 1\ne 0 2 : 0\ne 1 2 : 1\n"
 CYLINDRICAL = "cylindrical n_inner=1 n_outer=2\ninner:\n0: 3/4\nouter:\n1: 5/36\n2: 17/36\nwindings:\n{}\n" + COLORS3
@@ -146,3 +155,116 @@ def test_verify_refuses_gen_sizes_on_a_file(capsys, tmp_path, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --n and --n-inner apply only to --gen, not to a file" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--gen", "book", "--n", "4", "--n-inner", "3"], "verify --gen book does not take --n-inner"),
+    (["gen", "--class", "book", "--n", "4", "--n-inner", "3", "--seed", "0"], "gen --class book does not take --n-inner"),
+    (["gen", "--class", "cylindrical", "--n", "5", "--n-inner", "2", "--n-outer", "2", "--seed", "0"],
+     "gen --class cylindrical does not take --n"),
+    (["gen", "--class", "coloring", "--n", "4", "--n-outer", "2", "--seed", "0"],
+     "gen --class coloring does not take --n-outer"),
+])
+def test_a_size_flag_the_class_does_not_take_is_refused(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_validate_reports_a_crossing_of_an_edge_with_itself(capsys, tmp_path):
+    path = tmp_path / "same.drawing"
+    path.write_text("drawing n=3\ncrossings:\n0-1 0-1\n")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "violation: adjacent edges cross: 0-1 and 0-1\n" in out
+    assert "violation: edge pair with identical edges: 0-1\n" in out
+
+
+def test_validate_refuses_a_one_vertex_annulus(capsys, tmp_path):
+    path = tmp_path / "one.cyl"
+    path.write_text("cylindrical n_inner=1 n_outer=0\ninner:\n0: 0/1\nouter:\nwindings:\ncolors: k=2\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: layout needs at least 2 vertices\n")
+
+
+# ----------------------------------------------------------------------
+# the library's value types and solvers, called directly
+# ----------------------------------------------------------------------
+
+def test_book_layout_refusals():
+    c3, top = gen_coloring(3, 2, 0), (PAGE_TOP,) * 3
+    with pytest.raises(ValueError, match="^spine must be a permutation of 0..n-1$"):
+        BookLayout((0, 2, 2), top, c3)
+    with pytest.raises(ValueError, match="^expected 3 page assignments, got 2$"):
+        BookLayout((0, 1, 2), top[:2], c3)
+    with pytest.raises(ValueError, match="^unknown page 'left'$"):
+        BookLayout((0, 1, 2), ("left",) * 3, c3)
+    with pytest.raises(ValueError, match="^coloring vertex count does not match spine$"):
+        BookLayout((0, 1, 2, 3), (PAGE_TOP,) * 6, c3)
+    with pytest.raises(ValueError, match=r"^page assignment missing edge \(1, 2\)$"):
+        BookLayout.from_maps((0, 1, 2), {(0, 1): PAGE_TOP, (0, 2): PAGE_TOP}, c3)
+
+
+def test_edge_coloring_refusals():
+    with pytest.raises(ValueError, match=r"^color index 2 out of range 0\.\.1$"):
+        EdgeColoring(3, 2, (0, 2, 1))
+    with pytest.raises(ValueError, match=r"^coloring is missing edge \(0, 2\)$"):
+        EdgeColoring.from_map(3, 2, {(0, 1): 0, (1, 2): 1})
+
+
+def test_validate_drawing_counts_rotation_rows():
+    assert validate_drawing(Drawing(3, (), rotations=((1, 2), (0, 2)))) == ["rotation table has 2 rows for n=3"]
+
+
+def test_cylindrical_layout_refuses_a_coloring_of_another_size():
+    layout = fan_layout(2, 2, uniform_coloring(4))
+    with pytest.raises(ValueError, match="^coloring size does not match vertex count$"):
+        CylindricalLayout(layout.inner_angles, layout.outer_angles, layout.windings, uniform_coloring(5))
+
+
+def test_sweep_start_refuses_more_than_two_colors():
+    layout = fan_layout(2, 2, gen_coloring(4, 3, 0))
+    with pytest.raises(ValueError, match="^sweep needs exactly 2 colors, got k=3$"):
+        sweep_start(compile_layout(layout), layout)
+
+
+def test_rotation_order_check_refusals():
+    one_circle = compile_layout(fan_layout(0, 3, uniform_coloring(3)))
+    with pytest.raises(ValueError, match="^vertex 0 has no side edges: opposite circle is empty$"):
+        rotation_order_check(one_circle, 0)
+    rotations = ((1, 4, 3, 2), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 4), (0, 1, 2, 3))
+    shuffled = Drawing(5, (), rotations, ("inner", "inner", "outer", "outer", "outer"))
+    with pytest.raises(AssertionError, match=r"lists the outer circle as \[4, 3, 2\], not a circular shift"):
+        rotation_order_check(shuffled, 0)
+
+
+def test_side_rows_cross_check_catches_a_side_crossings_that_accepts_too_much(monkeypatch):
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    twice_wound = CylindricalLayout((0,), (half, three_halves), ((half + 4, three_halves),), uniform_coloring(3))
+    with pytest.raises(NotSimpleError, match="adjacent side edges"):
+        compile_layout(twice_wound)
+    monkeypatch.setattr(cylindrical, "side_crossings", lambda sides, turn: [])
+    with pytest.raises(AssertionError, match="^side_crossings accepted a layout that side_rows refused$"):
+        compile_layout(twice_wound)
+
+
+def test_monotone_refusals():
+    with pytest.raises(ValueError, match="^need d >= 2, got d=1$"):
+        group_partition(5, 1)
+    points = MonotoneDrawing.from_points(gen_points(5, 0))
+    with pytest.raises(ValueError, match="^coloring size does not match drawing$"):
+        solve_monotone(points, gen_coloring(6, 3, 0))
+
+
+def test_point_drawing_refuses_a_coloring_of_another_size():
+    with pytest.raises(ValueError, match="^coloring size does not match point count$"):
+        PointDrawing(((0, 0), (1, 1)), gen_coloring(3, 2, 0))
+
+
+def test_gen_coloring_refuses_fewer_than_two_vertices():
+    with pytest.raises(ValueError, match="^need n >= 2, got n=1$"):
+        gen_coloring(1, 2, 0)
+
+
+def test_render_svg_refuses_a_value_it_cannot_draw():
+    with pytest.raises(TypeError, match="^cannot render EdgeColoring$"):
+        render_svg(gen_coloring(3, 2, 0))

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from planetrees import straightline
 from planetrees.core import (
     EdgeColoring,
     edge,
@@ -225,3 +227,22 @@ def test_every_hull_coloured_split_joins_into_a_plane_spanning_tree(n):
             assert tree_colors(coloring, tree) == {red}
             checked += 1
     assert checked >= 5 * (n - 3) ** 2
+
+
+def test_disjoint_loop_joins_the_whole_set_through_one_hull_edge(monkeypatch):
+    # Six points on which no split at a shared vertex gives two trees of
+    # one color; edges 0-4, 1-3, 2-3, 3-4 and 3-5 have color 1.
+    points = ((-571, 475), (-554, -984), (-151, -608), (104, 211), (203, 224), (443, 731))
+    ones = {(0, 4), (1, 3), (2, 3), (3, 4), (3, 5)}
+    coloring = EdgeColoring(6, 2, tuple(int(e in ones) for e in itertools.combinations(range(6), 2)))
+    calls = []
+
+    def counting(points, hull_edges, x):
+        calls.append(x)
+        return _spanning_hull_edge(points, hull_edges, x)
+
+    monkeypatch.setattr(straightline, "_spanning_hull_edge", counting)
+    report = solve_points(PointDrawing(points, coloring))
+    assert report.ok
+    assert sorted(report.tree) == [(0, 1), (0, 3), (1, 2), (2, 5), (4, 5)]
+    assert len(calls) == 1

@@ -28,9 +28,10 @@ from .core import (
     all_edges,
     edge,
     edge_index,
-    edge_mask,
+    incident_masks,
     induced_mask,
     peel_candidate,
+    rank_offsets,
     reattach,
 )
 
@@ -82,15 +83,17 @@ def interleaving_rows(n: int, rows: list[int], order: Sequence[int], page_of: Se
     one side of a line through the vertices ``order``; ``page_of[r]`` is
     the mask of the edges on edge r's page.  The edge at positions a, c
     crosses the edges of its page with one end strictly between: the XOR
-    of the incident masks of the vertices between, less those at a, c."""
-    incident = [edge_mask(n, (edge(v, w) for w in range(n) if w != v)) for v in range(n)]  # the edges at each vertex
+    of the incident masks of the vertices between, less those at a, c.
+    The incident masks and the edge ranks come from rank arithmetic
+    (``incident_masks``, ``rank_offsets``), not from a table per n."""
+    incident, offset = incident_masks(n), rank_offsets(n)
     prefix = [0]  # prefix[i]: XOR of the incident masks of order[:i]
     for v in order:
         prefix.append(prefix[-1] ^ incident[v])
     for a, x in enumerate(order):
         for c in range(a + 2, len(order)):
             y = order[c]
-            r = edge_index(n, (x, y) if x < y else (y, x))
+            r = offset[x] + y if x < y else offset[y] + x
             rows[r] |= (prefix[c] ^ prefix[a + 1]) & ~(incident[x] | incident[y]) & page_of[r]
 
 
@@ -106,8 +109,10 @@ def compile_book(layout: BookLayout) -> Drawing:
     n, spine = layout.n, layout.spine
     pos = sorted(range(n), key=spine.__getitem__)  # pos[v]: spine position of v
     page = [[None] * n for _ in range(n)]  # page[u][w] by vertex
-    for (u, w), pg in zip(all_edges(n), layout.pages):
-        page[u][w] = page[w][u] = pg
+    pages = iter(layout.pages)  # in rank order; all_edges(n) would keep a table per n
+    for u in range(n):
+        for w in range(u + 1, n):
+            page[u][w] = page[w][u] = next(pages)
     rotations = []
     for v in range(n):
         left, right, row = spine[: pos[v]], spine[pos[v] + 1 :], page[v]
@@ -138,6 +143,8 @@ def solve_book(layout: BookLayout) -> SolveReport:
     color = layout.color
     if color.k != 2:
         raise ValueError(f"book solver handles exactly 2 colors, got k={color.k}")
+    if color.n < 2:
+        raise ValueError(f"need n >= 2, got n={color.n}")
     d = compile_book(layout)
     n = layout.n
     pos = {v: i for i, v in enumerate(layout.spine)}

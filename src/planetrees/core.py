@@ -272,9 +272,39 @@ def edge_mask(n: int, edges: Iterable[Edge]) -> int:
     return mask
 
 
+def rank_offsets(n: int) -> list[int]:
+    """``offset[u]`` such that edge (u, w), u < w, has rank offset[u] + w."""
+    return [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]
+
+
+def incident_masks(n: int) -> list[int]:
+    """The bitmask of the edges at each vertex of K_n, by rank arithmetic.
+
+    Vertex v's edges to higher vertices fill the block of ranks that
+    starts at ``edge_index(n, (v, v + 1))``; its edges from lower vertices
+    u sit v-u-1 into each earlier block, so that column is the previous
+    vertex's shifted up by one, plus the first bit of block v-1.
+    """
+    masks, column, base = [], 0, 0
+    for v in range(n):
+        masks.append(column | ((1 << (n - v - 1)) - 1) << base)
+        column = column << 1 | 1 << base
+        base += n - v - 1
+    return masks
+
+
 def induced_mask(n: int, vs: Iterable[int]) -> int:
-    """Bitmask of the edges of K_n with both ends in ``vs``."""
-    return edge_mask(n, itertools.combinations(sorted(vs), 2))
+    """Bitmask of the edges of K_n with both ends in ``vs``, vertices of
+    K_n: for each u in ``vs``, the vertex mask above u shifted to the
+    start of u's block of ranks."""
+    vs = list(vs)
+    members = 0
+    for v in vs:
+        members |= 1 << v
+    mask = 0
+    for u in vs:
+        mask |= (members >> (u + 1)) << u * (2 * n - u - 1) // 2
+    return mask
 
 
 def mask_is_plane(mask: int, conflicts: Sequence[int]) -> bool:
@@ -298,15 +328,14 @@ def peel_candidate(
     edge goes to the w with the least (dist(v, w), w), or None when no
     vertex qualifies.
     """
-    rank = _edge_ranks(d.n)
-    conflicts, colors = d.conflicts, coloring.colors
-    alive = induced_mask(d.n, order)
+    n, conflicts, colors = d.n, d.conflicts, coloring.colors
+    offset, alive = rank_offsets(n), induced_mask(n, order)
     for v in order:
         best: dict[int, tuple] = {}
         for w in order:
             if w == v:
                 continue
-            r = rank[(v, w) if v < w else (w, v)]
+            r = offset[v] + w if v < w else offset[w] + v
             if conflicts[r] & alive:
                 continue
             key = (dist(v, w), w)

@@ -202,16 +202,15 @@ def side_rows(n: int, rows: list[int], sides: list[tuple[Edge, int, int]], turn:
         at[w] |= 1 << r
     below = list(itertools.accumulate(at, operator.or_, initial=0))  # side edges of inner vertices < u
 
-    def ending(lo: int, hi: int) -> int:  # the side edges whose end lies in [lo, hi)
-        return prefix[bisect.bisect_left(keys, hi)] ^ prefix[bisect.bisect_left(keys, lo)]
-
     bad, T = 0, turn
     for ((u, w), _, s), r in zip(sides, ranks):
+        # e0..e5: the side edges whose end is below s-2T, s-T, s, s+1, s+T+1, s+2T+1
+        e0, e1, e2, e3, e4, e5 = (prefix[bisect.bisect_left(keys, t)]
+                                  for t in (s - 2 * T, s - T, s, s + 1, s + T + 1, s + 2 * T + 1))
         before, after = below[u], prefix[-1] ^ below[u + 1]
-        row = before & (ending(s - 2 * T, s - T) | ending(s + 1, s + T + 1))
-        row |= after & (ending(s - T, s) | ending(s + T + 1, s + 2 * T + 1))
+        row = before & (e1 ^ e0 | e4 ^ e3) | after & (e2 ^ e1 | e5 ^ e4)
         # Each pair is seen from both ends, so the earlier inner vertex's side suffices.
-        bad |= before & ~ending(s - 2 * T, s + T + 1) | at[u] & ~ending(s - T, s + T + 1) | row & at[w]
+        bad |= before & ~(e4 ^ e0) | at[u] & ~(e4 ^ e1) | row & at[w]
         rows[r] |= row
     if bad:
         side_crossings(sides, turn)

@@ -6,9 +6,11 @@ the compiled crossing set is free of floating-point artifacts.  The
 inputs must be in general position: no three collinear points and
 pairwise distinct x-coordinates.  Compilation takes one orientation
 sign per triple into a half-plane table (``half_planes``: for each
-ordered pair, the bitmask of the points left of it) and reads the
-drawing off it: each edge's conflict row as one masked, shifted bitmask
-per third point, and each vertex's rotation from popcounts.
+ordered pair, the bitmask of the points left of it), the only step that
+reads coordinates besides the x-order labels, and reads the drawing off
+it: each vertex's rotation from popcounts, and the conflict rows from
+per-vertex side masks and incident-mask XORs kept up to date while
+turning around each vertex (``table_rows``).
 
 The solver (Károlyi, Pach and Tóth) works by induction on the vertex
 set: it peels a vertex, or combines trees of the x-order prefixes and
@@ -34,6 +36,7 @@ from .core import (
     edge,
     edge_index,
     edge_mask,
+    incident_masks,
     induced_mask,
     mask_is_plane,
     peel_candidate,
@@ -77,18 +80,28 @@ def half_planes(points: Sequence[Point]) -> list[list[int]]:
     n = len(points)
     if len({x for x, _ in points}) != n:
         raise ValueError("duplicate x-coordinate among points")
-    left = [[0] * n for _ in range(n)]
+    left, bits = [[0] * n for _ in range(n)], [1 << k for k in range(n)]
     for i, (ax, ay) in enumerate(points):
+        rel = [(x - ax, y - ay) for x, y in points]
+        at_i, bit_i = left[i], bits[i]
         for j in range(i + 1, n):
-            dx, dy = points[j][0] - ax, points[j][1] - ay
+            (dx, dy), at_j, bit_j = rel[j], left[j], bits[j]
+            ccw = cw = 0  # the k > j left of i->j, and left of j->i
             for k in range(j + 1, n):
-                s = dx * (points[k][1] - ay) - dy * (points[k][0] - ax)
-                if s == 0:
+                ex, ey = rel[k]
+                up, down = dx * ey, dy * ex
+                if up > down:  # i is left of j->k, j of k->i
+                    ccw |= bits[k]
+                    at_j[k] |= bit_i
+                    left[k][i] |= bit_j
+                elif up < down:  # j is left of i->k, i of k->j
+                    cw |= bits[k]
+                    at_i[k] |= bit_j
+                    left[k][j] |= bit_i
+                else:
                     raise ValueError(f"collinear points {i}, {j}, {k}")
-                a, b = (i, j) if s > 0 else (j, i)  # k is left of a->b, a of b->k, b of k->a
-                left[a][b] |= 1 << k
-                left[b][k] |= 1 << a
-                left[k][a] |= 1 << b
+            at_i[j] |= ccw
+            at_j[i] |= cw
     return left
 
 
@@ -97,52 +110,74 @@ def check_general_position(points: Sequence[Point]) -> None:
     half_planes(points)
 
 
-def _rotation(points: Sequence[Point], left: list[list[int]], v: int) -> tuple[int, ...]:
-    """Counterclockwise order of the other points around point v.
+def _rotation(left: list[list[int]], v: int) -> tuple[int, ...]:
+    """Counterclockwise order of the other points around point v, read off
+    the half-plane table from v's smallest neighbour r.
 
-    The half-plane from angle 0 (inclusive) to pi comes first, then the
-    other; inside a half, w1 precedes w2 iff w2 is left of v->w1, so the
-    rank of w is the number of its half left of w->v.
+    r and the points left of v->r fill the half-turn from r, the points
+    right of it the other; inside a half, w1 precedes w2 iff w2 is left
+    of v->w1, so the rank of w is the number of its half left of w->v.
+    A single point has no neighbour and an empty rotation.
     """
-    x, y = points[v]
-    halves = [0, 0]
-    for w, (wx, wy) in enumerate(points):
-        if w != v:
-            halves[0 if wy > y or (wy == y and wx > x) else 1] |= 1 << w
+    if len(left) == 1:
+        return ()
+    r = 1 if v == 0 else 0
     rot: list[int] = []
-    for half in halves:
+    for half in (left[v][r] | 1 << r, left[r][v]):
         ranked = [0] * half.bit_count()
-        for w in range(len(points)):
+        for w in range(len(left)):
             if half >> w & 1:
                 ranked[(half & left[w][v]).bit_count()] = w
         rot += ranked
     return tuple(rot)
 
 
-def compile_points(p: PointDrawing) -> Drawing:
-    """Conflict rows and rotations from the half-plane table L.
+def table_rows(left: list[list[int]], rotations: Sequence[Sequence[int]]) -> list[int]:
+    """Conflict rows of the straight-line drawing with half-plane table
+    ``left`` and the rotations ``_rotation`` reads off it, in O(n^2)
+    big-integer steps and no table kept past the call.
 
-    Segments ab and cd cross iff each separates the other's ends.  For
-    the edge (a, b) and a point c, the d > c with (c, d) crossing it are
-    the points on the side of ab opposite c that lie in L[c][a] XOR
-    L[c][b], where a and b fall on different sides of c->d; as edge
-    ranks they are one shifted bitmask per c.
+    Segments ab and cd cross iff each line separates the other's ends.
+    The per-vertex side mask W[x] has the bit of edge (c, d) set iff x
+    lies right of c->d: block c of the ranks is L[c][x] shifted down past
+    c.  So W[a] ^ W[b] holds the edges whose line separates a and b.  The
+    edges with one end in S = L[a][b] and the other off it are the XOR of
+    the incident masks of S; as b turns counterclockwise around a, S
+    gains and loses each point once, so a keeps that XOR up to date in
+    O(n) steps.  The edges at a or b are masked off.
     """
-    points, left, n = p.points, half_planes(p.points), p.n
+    n = len(left)
+    incident = incident_masks(n)
     base = [edge_index(n, (c, c + 1)) for c in range(n)]
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            sides, row = (left[a][b], left[b][a]), 0
-            for c in range(n):
-                if c != a and c != b:
-                    far = sides[1] if sides[0] >> c & 1 else sides[0]
-                    row |= ((far & (left[c][a] ^ left[c][b])) >> (c + 1)) << base[c]
-            rows.append(row)
-    rotations = tuple(_rotation(points, left, v) for v in range(n))
-    rank = {v: r for r, v in enumerate(x_order(points))}
+    side = [0] * n
+    for c in range(n):
+        for x in range(n):
+            side[x] |= (left[c][x] >> (c + 1)) << base[c]
+    rows = [0] * (n * (n - 1) // 2)
+    for a in range(n - 1):
+        around, split, prev = left[a], 0, 0  # split: XOR of the incident masks of prev = L[a][b]
+        for b in rotations[a]:
+            changed, prev = prev ^ around[b], around[b]
+            while changed:
+                low = changed & -changed
+                split ^= incident[low.bit_length() - 1]
+                changed ^= low
+            if b > a:
+                rows[base[a] + b - a - 1] = (side[a] ^ side[b]) & split & ~(incident[a] | incident[b])
+    return rows
+
+
+def compile_points(p: PointDrawing) -> Drawing:
+    """Conflict rows and rotations read off the half-plane table L: each
+    rotation by ``_rotation``, the rows from per-vertex side masks W and
+    the incident-mask XOR of each L[a][b] by ``table_rows``.  Apart from
+    the labels, the x-order ranks, only ``half_planes`` reads
+    coordinates."""
+    left, n = half_planes(p.points), p.n
+    rotations = [_rotation(left, v) for v in range(n)]
+    rank = {v: r for r, v in enumerate(x_order(p.points))}
     labels = tuple(f"x:{rank[v]}" for v in range(n))
-    return Drawing.from_rows(n, rows, rotations, labels)
+    return Drawing.from_rows(n, table_rows(left, rotations), rotations, labels)
 
 
 def x_order(points: Sequence[Point]) -> list[int]:
@@ -278,6 +313,8 @@ def solve_points(p: PointDrawing) -> SolveReport:
     color = p.color
     if color.k != 2:
         raise ValueError(f"point solver handles exactly 2 colors, got k={color.k}")
+    if color.n < 2:
+        raise ValueError(f"need n >= 2, got n={color.n}")
     d = compile_points(p)
     solver = _Solver(p.points, d, color)
     try:

@@ -547,3 +547,23 @@ def test_header_above_the_limit_is_an_input_error(capsys, tmp_path, command):
     extra = {"render": ["-o", str(tmp_path / "out.svg")], "brute": ["--mode", "mono"]}.get(command, [])
     code, out, err = run(capsys, command, str(path), *extra)
     assert (code, out, err) == (1, "", "error: line 1: n=100000 exceeds the limit of 128 vertices\n")
+
+
+@pytest.mark.parametrize(
+    "solver,text,n,validated",
+    [
+        ("pseudolinear", "points n=0\ncolors: k=2\n", 0, 1),
+        ("pseudolinear", "points n=1\np 0: 0 0\ncolors: k=2\n", 1, 0),
+        ("book", "book n=0\nspine: \ntop: \nbottom: \ncolors: k=2\n", 0, 1),
+        ("book", "book n=1\nspine: 0\ntop: \nbottom: \ncolors: k=2\n", 1, 0),
+    ],
+    ids=["points-0", "points-1", "book-0", "book-1"],
+)
+def test_solve_refuses_fewer_than_two_vertices(capsys, tmp_path, solver, text, n, validated):
+    path = tmp_path / "small.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", "--class", solver, str(path))
+    assert (code, out, err) == (1, "", f"error: need n >= 2, got n={n}\n")
+    code, out, err = run(capsys, "validate", str(path))
+    status = "violation: vertex count 0 < 1\nstatus: 1 violations" if n == 0 else "status: ok"
+    assert (code, out, err) == (validated, f"kind: {text.split()[0]}\nn: {n}\ncrossings: 0\n{status}\n", "")

@@ -24,7 +24,7 @@ from planetrees.cylindrical import (
 from planetrees.generators import gen_book, gen_coloring, gen_cylindrical, gen_points
 from planetrees.straightline import PointDrawing, check_general_position, compile_points, orient
 
-from conftest import side_crossing_count
+from conftest import reference_orientation_compile, side_crossing_count
 
 # ----------------------------------------------------------------------
 # pairwise reference compilers
@@ -296,3 +296,62 @@ def test_points_kernel_raises_reference_errors(points):
     with pytest.raises(ValueError) as info:
         check_general_position(points)
     assert str(info.value) == want[1]
+
+
+# ----------------------------------------------------------------------
+# larger layouts: n 25..40
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,seed", [(25, 0), (29, 1), (34, 2), (40, 3)])
+def test_points_kernel_matches_the_orientation_reference_at_larger_n(n, seed):
+    rng = random.Random(f"points-larger:{seed}")
+    pts = gen_points(n, seed)
+    moved = tuple((Fraction(x - 500, rng.randint(1, 9)), -y) for x, y in pts.points)
+    for drawing in (pts, PointDrawing(moved, pts.color)):
+        _assert_same_drawing(compile_points(drawing), reference_orientation_compile(drawing))
+
+
+@pytest.mark.parametrize("n", [25, 31, 40])
+def test_book_kernel_matches_reference_at_larger_n(n):
+    layout = gen_book(n, 200 + n)
+    _assert_same_drawing(compile_book(layout), reference_compile_book(layout))
+
+
+@pytest.mark.parametrize("p,q,turns", [(12, 13, 1), (1, 26, -1), (20, 11, 1), (15, 25, -1)])
+def test_annulus_kernel_matches_reference_at_larger_n(p, q, turns):
+    # At this size a random extra turn almost never stays simple, so the
+    # wrapping layout is the generated one twisted by a whole turn, and
+    # random wrapping layouts are compared by the error they raise.
+    layout = gen_cylindrical(p, q, seed=p * 31 + q, wrap_prob=0.5)
+    windings = tuple(tuple(w + turns * TURN for w in row) for row in layout.windings)
+    twisted = CylindricalLayout(layout.inner_angles, layout.outer_angles, windings, layout.color)
+    for each in (layout, twisted):
+        _assert_same_drawing(compile_layout(each), reference_compile_layout(each))
+    rng = random.Random(f"wrapping-larger:{p}:{q}")
+    for _ in range(2):
+        wrapped = _random_wrapping_layout(rng, p, q, max_turns=1)
+        assert _outcome(compile_layout, wrapped) == _outcome(reference_compile_layout, wrapped)
+
+
+# ----------------------------------------------------------------------
+# nothing kept per n
+# ----------------------------------------------------------------------
+
+
+def test_compilers_keep_nothing_per_n():
+    import tracemalloc
+
+    layouts = {n: [gen_points(n, 0), gen_book(n, 0)] for n in (126, 128, 127)}
+    compilers = {PointDrawing: compile_points, BookLayout: compile_book}
+    for layout in layouts[126]:  # every statement runs once first, so only per-n state can stay behind
+        compilers[type(layout)](layout)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for layout in layouts[128] + layouts[127]:
+            assert compilers[type(layout)](layout).n == layout.n
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000

@@ -25,6 +25,8 @@ from planetrees.core import (
     edge,
     edge_mask,
     edge_table,
+    incident_masks,
+    induced_mask,
     induced_subdrawing,
     is_plane,
     mask_is_plane,
@@ -284,3 +286,58 @@ def test_certify_reports_every_failed_predicate():
     assert not rep.ok
     rep = certify(d, coloring, path, avoid=1, witness={"removed_color": 1})
     assert rep.ok and rep.avoided_colors == {1} and rep.witness == {"removed_color": 1}
+
+
+# ----------------------------------------------------------------------
+# rank arithmetic in the mask helpers and the peel, against rank dicts
+# ----------------------------------------------------------------------
+
+
+def reference_induced_mask(n, vs):
+    rank = {e: i for i, e in enumerate(all_edges(n))}
+    return sum(1 << rank[e] for e in itertools.combinations(sorted(set(vs)), 2))
+
+
+def reference_peel(d, coloring, order, dist):
+    """peel_candidate with every edge rank looked up in a dict."""
+    rank = {e: i for i, e in enumerate(all_edges(d.n))}
+    alive = reference_induced_mask(d.n, order)
+    for v in order:
+        best = {}
+        for w in order:
+            if w == v:
+                continue
+            r = rank[edge(v, w)]
+            if d.conflicts[r] & alive:
+                continue
+            key = (dist(v, w), w)
+            c = coloring.colors[r]
+            if c not in best or key < best[c]:
+                best[c] = key
+        if len(best) == 2:
+            return v, {c: edge(v, w) for c, (_, w) in best.items()}
+    return None
+
+
+def test_incident_masks_match_a_rank_dict():
+    for n in range(0, 41):
+        rank = {e: i for i, e in enumerate(all_edges(n))}
+        want = [sum(1 << rank[edge(v, w)] for w in range(n) if w != v) for v in range(n)]
+        assert incident_masks(n) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 25, 33, 40])
+def test_induced_mask_and_peel_match_rank_dicts_on_random_subsets(n):
+    rng = random.Random(f"rank-arithmetic:{n}")
+    drawings = [
+        (compile_book(gen_book(n, n)), gen_coloring(n, 2, n)),
+        (compile_points(gen_points(n, n)), gen_coloring(n, 2, n + 1)),
+        (random_drawing(n, rng, 0.05), gen_coloring(n, 2, n + 2)),
+    ]
+    for d, color in drawings:
+        for _ in range(15):
+            order = rng.sample(range(n), rng.randint(0, n))
+            assert induced_mask(n, order) == reference_induced_mask(n, order)
+            assert induced_mask(n, iter(order)) == reference_induced_mask(n, order)
+            dist = lambda v, w: (v * 7 + w * 3) % 5  # noqa: E731 - ties broken by w
+            assert peel_candidate(d, color, order, dist) == reference_peel(d, color, order, dist)

@@ -219,12 +219,18 @@ def _generate(cls: str, sizes: dict[str, Optional[int]], seed: int, k: int = 2):
     return generate(*values, seed, k)
 
 
+def _refuse_size_flags(args, command: str, cls: str, flags: tuple[str, ...]) -> None:
+    """Refuse each size flag of ``flags`` set in ``args`` that ``cls`` does not take."""
+    for flag in flags:
+        if vars(args)[flag] is not None and flag not in GENERATORS[cls][0]:
+            raise ValueError(f"{command} {cls} does not take --{flag.replace('_', '-')}")
+
+
 def _generated_drawing(args) -> Drawing:
     n = args.n
     if n is None:
         raise ValueError("verify --gen needs --n")
-    if args.n_inner is not None and "n_inner" not in GENERATORS[args.gen][0]:
-        raise ValueError(f"verify --gen {args.gen} does not take --n-inner")
+    _refuse_size_flags(args, "verify --gen", args.gen, ("n_inner",))
     check_desk_scale(n, args.long_run)
     n_inner = n // 2 if args.n_inner is None else args.n_inner
     sizes = {"n": n, "n_inner": n_inner, "n_outer": n - n_inner}
@@ -252,10 +258,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    flags, _, write = GENERATORS[args.gen_class]
-    for flag in ("n", "n_inner", "n_outer"):
-        if vars(args)[flag] is not None and flag not in flags:
-            raise ValueError(f"gen --class {args.gen_class} does not take --{flag.replace('_', '-')}")
+    _refuse_size_flags(args, "gen --class", args.gen_class, ("n", "n_inner", "n_outer"))
+    write = GENERATORS[args.gen_class][2]
     text = write(_generate(args.gen_class, vars(args), args.seed, args.k))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

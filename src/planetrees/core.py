@@ -53,11 +53,6 @@ def edge_table(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_ranks(n: int) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(edge_table(n))}
-
-
 def all_edges(n: int) -> list[Edge]:
     """All C(n,2) edges of K_n in lexicographic order."""
     return list(edge_table(n))
@@ -122,13 +117,13 @@ class Drawing:
 
     def __init__(self, n: int, crossings: Iterable[CrossingPair], rotations=None, vertex_labels=None) -> None:
         rows = [0] * _edge_count(n)
-        rank = _edge_ranks(n)
         for e, f in [crossing_pair(edge(*e), edge(*f)) for e, f in crossings]:
-            if e not in rank or f not in rank:
-                u, v = e if e not in rank else f
-                raise ValueError(f"crossing edge {u}-{v} out of range for n={n}")
-            rows[rank[e]] |= 1 << rank[f]
-            rows[rank[f]] |= 1 << rank[e]
+            for u, v in (e, f):
+                if u < 0 or v >= n:
+                    raise ValueError(f"crossing edge {u}-{v} out of range for n={n}")
+            r, s = edge_index(n, e), edge_index(n, f)
+            rows[r] |= 1 << s
+            rows[s] |= 1 << r
         rotations = _canonical_rotations(rotations)
         self.__dict__.update(n=n, conflicts=tuple(rows), rotations=rotations, vertex_labels=vertex_labels)
 
@@ -257,19 +252,28 @@ def validate_drawing(d: Drawing) -> list[str]:
 def is_plane(d: Drawing, s: EdgeSet) -> bool:
     """True iff no two edges of s (nor one edge with itself) cross,
     tested pair by pair against the drawing's rows."""
-    rank, rows = _edge_ranks(d.n), d.conflicts
-    ranks = [rank[e] for e in s if e in rank]
+    rows, ranks = d.conflicts, _ranks(d.n, s)
     return not any(rows[i] >> j & 1 for i, j in itertools.combinations_with_replacement(ranks, 2))
 
 
 def edge_mask(n: int, edges: Iterable[Edge]) -> int:
     """Bitmask of the edges of K_n in ``edges``; other edges are skipped."""
-    rank = _edge_ranks(n)
     mask = 0
-    for e in edges:
-        if e in rank:
-            mask |= 1 << rank[e]
+    for r in _ranks(n, edges):
+        mask |= 1 << r
     return mask
+
+
+def _ranks(n: int, edges: Iterable[Edge]) -> list[int]:
+    """Ranks of the edges (u, v), 0 <= u < v < n, in ``edges``; anything else
+    is skipped, since the formula would give it another edge's rank."""
+    ranks, m = [], 2 * n - 3
+    for e in edges:
+        if len(e) == 2:
+            u, v = e
+            if 0 <= u < v < n:
+                ranks.append((u * (m - u) >> 1) + v - 1)  # edge_index(n, e); u * (m - u) is even
+    return ranks
 
 
 def rank_offsets(n: int) -> list[int]:
@@ -305,6 +309,23 @@ def induced_mask(n: int, vs: Iterable[int]) -> int:
     for u in vs:
         mask |= (members >> (u + 1)) << u * (2 * n - u - 1) // 2
     return mask
+
+
+def induced_ranks(n: int, order: Sequence[int]) -> list[int]:
+    """Rank in K_n of each edge (order[i], order[j]), i < j, of distinct vertices
+    of K_n, in the rank order of K_len(order): the edges a restriction keeps."""
+    m = 2 * n - 3  # as in _ranks
+    return [(u * (m - u) >> 1) + v - 1 if u < v else (v * (m - v) >> 1) + u - 1
+            for i, u in enumerate(order) for v in order[i + 1:]]
+
+
+def mask_edges(n: int, mask: int) -> Iterator[Edge]:
+    """The edges of the bitmask in rank order, as the tuples of ``edge_table``."""
+    table = edge_table(n)
+    while mask:
+        low = mask & -mask
+        yield table[low.bit_length() - 1]
+        mask ^= low
 
 
 def mask_is_plane(mask: int, conflicts: Sequence[int]) -> bool:
@@ -373,20 +394,26 @@ def is_spanning_tree(n: int, s: EdgeSet) -> bool:
 
 def spans(n: int, mask: int) -> bool:
     """True iff the edges of the bitmask connect all n vertices."""
-    table, adjacent = edge_table(n), [0] * n
-    while mask:
-        low = mask & -mask
-        u, v = table[low.bit_length() - 1]
+    return len(_breadth_first(n, mask)) == n - 1
+
+
+def _breadth_first(n: int, mask: int) -> list[tuple[int, int]]:
+    """Breadth-first search from vertex 0 over the bitmask's edges, neighbours
+    ascending: its tree's edges in the order found, n - 1 iff it reaches all."""
+    adjacent = [0] * n
+    for u, v in mask_edges(n, mask):
         adjacent[u] |= 1 << v
         adjacent[v] |= 1 << u
-        mask ^= low
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        new = adjacent[low.bit_length() - 1] & ~seen
+    seen, queue, tree = 1, [0], []
+    for x in queue:
+        new = adjacent[x] & ~seen
         seen |= new
-        frontier ^= low | new
-    return seen == (1 << n) - 1
+        while new:
+            low = new & -new
+            queue.append(y := low.bit_length() - 1)
+            tree.append((x, y) if x < y else (y, x))
+            new ^= low
+    return tree
 
 
 def induced_subdrawing(
@@ -406,10 +433,9 @@ def induced_subdrawing(
     for v in order:
         if not 0 <= v < d.n:
             raise ValueError(f"vertex {v} out of range for n={d.n}")
-    k = len(order)
-    rank, conflicts = _edge_ranks(d.n), d.conflicts
+    k, conflicts = len(order), d.conflicts
     # Old rank of every kept edge, in new rank order; rows keep the kept bits, renumbered.
-    ranks = [rank[edge(order[i], order[j])] for i, j in edge_table(k)]
+    ranks = induced_ranks(d.n, order)
     new_bit = {1 << r: 1 << i for i, r in enumerate(ranks)}
     kept = sum(new_bit)
     rows = []
@@ -444,26 +470,11 @@ def tree_colors(c: EdgeColoring, s: EdgeSet) -> set[int]:
 def extract_spanning_tree(n: int, s: EdgeSet) -> EdgeSet:
     """Deterministic spanning tree of a connected spanning subgraph.
 
-    Breadth-first from vertex 0 with neighbors visited in increasing
-    order.  Any spanning tree of a plane subgraph is itself plane.
+    Breadth-first from vertex 0, neighbours ascending, over the edges of
+    K_n in s.  Any spanning tree of a plane subgraph is itself plane.
     """
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in s:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    seen = {0}
-    queue = [0]
-    tree = set()
-    while queue:
-        x = queue.pop(0)
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                tree.add(edge(x, y))
-                queue.append(y)
-    if len(seen) != n:
+    tree = _breadth_first(n, edge_mask(n, s))
+    if len(tree) != n - 1:
         raise ValueError("subgraph is not spanning-connected")
     return frozenset(tree)
 

@@ -68,6 +68,7 @@ from .core import (
     edge_mask,
     extract_spanning_tree,
     induced_mask,
+    induced_ranks,
     induced_subdrawing,
     mask_is_plane,
     reattach,
@@ -502,7 +503,7 @@ def restrict_layout(
     inner_angles = tuple(layout.inner_angles[v] for v in keep_inner)
     outer_angles = tuple(layout.outer_angles[v - p] for v in keep_outer)
     windings = tuple(tuple(layout.windings[u][w - p] for w in keep_outer) for u in keep_inner)
-    colors = tuple(layout.color.colors[edge_index(layout.n, e)] for e in itertools.combinations(kept, 2))
+    colors = tuple(layout.color.colors[r] for r in induced_ranks(layout.n, kept))
     coloring = EdgeColoring(len(kept), layout.color.k, colors)
     return CylindricalLayout(inner_angles, outer_angles, windings, coloring), mapping
 

@@ -4,13 +4,13 @@ Every format is ASCII, human-diffable, and exact: angles and windings
 are rationals in units of pi written as ``p/q``, point coordinates are
 integers or plain rationals.  Serialization is canonical (edges and
 crossing pairs sorted, rotations starting at the smallest neighbor),
-so ``parse(serialize(x)) == x`` holds for every value.  Writers format
-edges from per-n tables in ``edge_table`` order: ``_edge_labels``
-(``u-v``) and ``_color_prefixes`` (``e u v : ``).  Crossings go straight
-between text and a drawing's conflict rows: writers walk the rows in
-rank order.  Readers make one pass over a file's non-blank lines and
-look ``u-v`` tokens and ``e u v : `` prefixes up in the tables' ranks; a
-line the tables miss goes through the token parsers, which name the fault.
+so ``parse(serialize(x)) == x`` holds for every value.  One per-n table
+per text form of an edge, ``_edge_label_ranks`` (``u-v``) and
+``_color_prefix_ranks`` (``e u v : ``), maps the text to the edge's rank.
+Readers make one pass over a file's non-blank lines and look tokens and
+prefixes up in it; a miss goes through the token parsers, which name the
+fault.  Writers take labels and prefixes in the tables' key order, which is
+rank order, and write crossings straight from a drawing's conflict rows.
 
 Grammars (values in <>; ``#`` starts a comment; blank lines ignored):
 
@@ -175,12 +175,12 @@ def _parse_edge_token(line_no: int, token: str, n: int) -> Edge:
 
 @functools.lru_cache(maxsize=64)
 def _edge_label_ranks(n: int) -> dict[str, int]:
-    return {label: r for r, label in enumerate(_edge_labels(n))}
+    return {f"{u}-{v}": r for r, (u, v) in enumerate(edge_table(n))}
 
 
 @functools.lru_cache(maxsize=64)
 def _color_prefix_ranks(n: int) -> dict[str, int]:
-    return {prefix: r for r, prefix in enumerate(_color_prefixes(n))}
+    return {f"e {u} {v} : ": r for r, (u, v) in enumerate(edge_table(n))}
 
 
 def _add_crossing(rows: list[int], line_no: int, text: str, n: int, adjacent_ok: bool = True) -> None:
@@ -257,23 +257,13 @@ def _read_color_lines(it: Iterator[tuple[int, str]], eof: int, n: int, k: int) -
     return EdgeColoring(n, k, tuple(colors))
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"{u}-{v}" for u, v in edge_table(n))
-
-
-@functools.lru_cache(maxsize=64)
-def _color_prefixes(n: int) -> tuple[str, ...]:
-    return tuple(f"e {u} {v} : " for u, v in edge_table(n))
-
-
 def _serialize_color_lines(c: EdgeColoring) -> list[str]:
-    return [f"{prefix}{color}" for prefix, color in zip(_color_prefixes(c.n), c.colors)]
+    return [f"{prefix}{color}" for prefix, color in zip(_color_prefix_ranks(c.n), c.colors)]
 
 
 def _crossing_lines(d: Drawing) -> list[str]:
     """``u-v w-x`` per crossing pair, sorted: rank order is lexicographic."""
-    labels = _edge_labels(d.n)
+    labels = list(_edge_label_ranks(d.n))
     return [f"{labels[r]} {labels[s]}" for r, s in row_pairs(d.conflicts)]
 
 
@@ -373,9 +363,7 @@ def parse_drawing(text: str) -> tuple[Drawing, Optional[EdgeColoring], Optional[
 
 
 def serialize_coloring(c: EdgeColoring) -> str:
-    out = [f"coloring n={c.n} k={c.k}"]
-    out.extend(_serialize_color_lines(c))
-    return "\n".join(out) + "\n"
+    return "\n".join([f"coloring n={c.n} k={c.k}", *_serialize_color_lines(c)]) + "\n"
 
 
 def parse_coloring(text: str) -> EdgeColoring:
@@ -457,7 +445,7 @@ def serialize_book(layout: BookLayout) -> str:
     out = [f"book n={n}"]
     out.append("spine: " + " ".join(str(v) for v in layout.spine))
     for name, page in (("top:", PAGE_TOP), ("bottom:", PAGE_BOTTOM)):
-        out.append(f"{name} " + " ".join(e for e, p in zip(_edge_labels(n), layout.pages) if p == page))
+        out.append(f"{name} " + " ".join(e for e, p in zip(_edge_label_ranks(n), layout.pages) if p == page))
     out.append(f"colors: k={layout.color.k}")
     out.extend(_serialize_color_lines(layout.color))
     return "\n".join(out) + "\n"
@@ -486,7 +474,7 @@ def parse_book(text: str) -> BookLayout:
                 raise ParseError(ln, f"edge {tok} assigned to two pages")
             pages[r] = page
     if None in pages:
-        raise ParseError(ln, f"edge {_edge_labels(n)[pages.index(None)]} has no page")
+        raise ParseError(ln, f"edge {list(ranks)[pages.index(None)]} has no page")
     color = _finish(it, _read_colors(it, eof, n, *_take(it, eof)))
     return BookLayout(spine, tuple(pages), color)
 
@@ -536,10 +524,7 @@ def parse_points(text: str) -> PointDrawing:
 
 
 def serialize_class_file(drawings: list[Drawing]) -> str:
-    out = []
-    for d in drawings:
-        out.append(f"{d.n};" + ",".join(_crossing_lines(d)))
-    return "\n".join(out) + "\n"
+    return "\n".join(f"{d.n};" + ",".join(_crossing_lines(d)) for d in drawings) + "\n"
 
 
 def parse_class_file(path: str) -> list[Drawing]:

@@ -54,6 +54,7 @@ from .core import (
     edge_table,
     is_plane,
     is_spanning_tree,
+    mask_edges,
     mask_is_plane,
     spans,
 )
@@ -115,10 +116,6 @@ def _tree_masks(n: int) -> array.array:
     return array.array("I", (edge_mask(n, tree) for tree in enumerate_spanning_trees(n)))
 
 
-def _mask_to_edges(n: int, mask: int) -> EdgeSet:
-    return frozenset(e for i, e in enumerate(edge_table(n)) if mask >> i & 1)
-
-
 def _iter_tree_masks(n: int, allow_large: bool) -> Iterator[int]:
     if n <= 7:
         return iter(_tree_masks(n))
@@ -164,7 +161,7 @@ def find_plane_tree(
         if not any(mask & region == mask for region in regions):
             continue
         if mask_is_plane(mask, conflicts):
-            tree = _mask_to_edges(n, mask)
+            tree = frozenset(mask_edges(n, mask))
             checks = (("plane", is_plane(d, tree)), ("spanning-tree", is_spanning_tree(n, tree)))
             witness = {"mode": mode, "color": color}
             if all(ok for _, ok in checks):

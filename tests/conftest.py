@@ -722,3 +722,44 @@ def reference_detect_kind(text: str) -> str:
             return "class"
         raise ParseError(line_no, f"unrecognized file header {line[:40]!r}")
     raise ParseError(1, "empty file")
+
+
+def _reference_ranks(n: int) -> dict:
+    return {e: i for i, e in enumerate(all_edges(n))}
+
+
+def reference_edge_mask(n: int, edges) -> int:
+    """``core.edge_mask`` through a rank dict: what is not a key is skipped."""
+    rank = _reference_ranks(n)
+    return sum(1 << rank[e] for e in set(edges) if e in rank)
+
+
+def reference_is_plane(d: Drawing, s) -> bool:
+    """``core.is_plane`` through a rank dict, pair by pair against the rows."""
+    rank, rows = _reference_ranks(d.n), d.conflicts
+    ranks = [rank[e] for e in s if e in rank]
+    return not any(rows[i] >> j & 1 for i, j in itertools.combinations_with_replacement(ranks, 2))
+
+
+def reference_extract_spanning_tree(n: int, s) -> frozenset:
+    """``core.extract_spanning_tree`` as a breadth-first search over adjacency
+    lists: neighbours sorted, a FIFO queue, ValueError when not spanning."""
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in s:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in adj:
+        adj[v].sort()
+    seen = {0}
+    queue = [0]
+    tree = set()
+    while queue:
+        x = queue.pop(0)
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                tree.add(edge(x, y))
+                queue.append(y)
+    if len(seen) != n:
+        raise ValueError("subgraph is not spanning-connected")
+    return frozenset(tree)
